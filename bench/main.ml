@@ -376,6 +376,188 @@ let dataflow () =
       Nas_lu.make Kernel.A;
     ]
 
+(* --------------------------------------------- search-evaluation patch *)
+
+(* Search evaluations (Bfs.Target.make: inline, served and fleet alike) run
+   the 2.5-collapsed patch. This section runs each class-A BFS campaign
+   sequentially through that target and through a twin that patches
+   without the analysis (built like perfbench's traced target), alternating
+   the two for three rounds and keeping each side's best times. All runs
+   walk the same configuration sequence, which it asserts —
+   identical verdict sequences (trap addresses included) and finals, exit 1
+   otherwise — and it reports per-eval layers: executed steps, dynamic flag
+   tests, execution time, patch and analysis time, code-cache hit ratio.
+   Writes BENCH_searchpatch.json. *)
+
+type patch_side = {
+  log : (Config.t * Verdict.verdict) list;
+  final : string;
+  campaign_s : float;
+  steps : int;
+  testflags : int;
+  exec_s : float;
+  cache : Code_cache.stats;
+}
+
+let searchpatch () =
+  section "Search evaluations on the 2.5-collapsed patch vs the plain patch";
+  let count_testflags (vm : Vm.t) =
+    Array.fold_left
+      (fun acc (f : Ir.func) ->
+        Array.fold_left
+          (fun acc (b : Ir.block) ->
+            Array.fold_left
+              (fun acc (i : Ir.instr) ->
+                match i.Ir.op with Ftestflag _ -> acc + vm.Vm.counts.(i.Ir.addr) | _ -> acc)
+              acc b.Ir.instrs)
+          acc f.Ir.blocks)
+      0 vm.Vm.prog.Ir.funcs
+  in
+  let run_side (k : Kernel.t) ~collapsed =
+    let steps = ref 0 and testflags = ref 0 and exec_s = ref 0.0 and t_exec = ref 0.0 in
+    (* execution is the interval between [setup] and [output] *)
+    let setup vm =
+      k.Kernel.setup vm;
+      if vm.Vm.checked then t_exec := Unix.gettimeofday ()
+    in
+    let output vm =
+      if vm.Vm.checked then begin
+        exec_s := !exec_s +. (Unix.gettimeofday () -. !t_exec);
+        steps := !steps + vm.Vm.steps;
+        testflags := !testflags + count_testflags vm
+      end;
+      k.Kernel.output vm
+    in
+    let probed = { k with Kernel.setup; output } in
+    let target =
+      if collapsed then Kernel.target probed
+      else
+        let program = k.Kernel.program in
+        let cache = Compile.create_cache () in
+        let raw_eval cfg =
+          let vm = Vm.create ~checked:true (Patcher.patch program cfg) in
+          setup vm;
+          Compile.run ~cache vm;
+          k.Kernel.verify (output vm)
+        in
+        let eval cfg =
+          match raw_eval cfg with
+          | ok -> ok
+          | exception Vm.Trap _ -> false
+          | exception Vm.Limit _ -> false
+        in
+        { (Kernel.target k) with Bfs.Target.eval; raw_eval; code_cache = Some cache }
+    in
+    let log = ref [] in
+    let raw_eval cfg =
+      match target.Bfs.Target.raw_eval cfg with
+      | ok ->
+          log := (cfg, if ok then Verdict.Pass else Verdict.Fail_verify) :: !log;
+          ok
+      | exception e ->
+          log := (cfg, Verdict.classify_exn e) :: !log;
+          raise e
+    in
+    let _, target = Harness.wrap_target { target with Bfs.Target.raw_eval } in
+    let t0 = Unix.gettimeofday () in
+    let res = Bfs.search ~options:{ Bfs.default_options with base = k.Kernel.hints } target in
+    let campaign_s = Unix.gettimeofday () -. t0 in
+    {
+      log = List.rev !log;
+      final = Config.print k.Kernel.program res.Bfs.final;
+      campaign_s;
+      steps = !steps;
+      testflags = !testflags;
+      exec_s = !exec_s;
+      cache =
+        (match target.Bfs.Target.code_cache with
+        | Some c -> Compile.stats c
+        | None -> { Code_cache.hits = 0; misses = 0; entries = 0 });
+    }
+  in
+  let reps = 3 in
+  (* mean microseconds of [f cfg] over the campaign's configurations *)
+  let mean_us log f =
+    let t0 = Unix.gettimeofday () in
+    List.iter (fun (cfg, _) -> ignore (Sys.opaque_identity (f cfg))) log;
+    (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int (max 1 (List.length log))
+  in
+  Format.printf "%-6s %5s | %-9s %12s %12s %10s %10s %10s %7s %9s@." "kernel" "evals" "patch"
+    "steps/eval" "tests/eval" "exec ms" "patch us" "dflow us" "cache" "campaign";
+  let rows =
+    List.map
+      (fun (k : Kernel.t) ->
+        (* alternate the two sides; times are the best of the rounds *)
+        let rounds =
+          List.init reps (fun _ ->
+              let p = run_side k ~collapsed:false in
+              (p, run_side k ~collapsed:true))
+        in
+        let sides = List.concat_map (fun (p, o) -> [ p; o ]) rounds in
+        let fastest pick =
+          let l = List.map pick rounds in
+          List.fold_left
+            (fun a b ->
+              {
+                a with
+                exec_s = Float.min a.exec_s b.exec_s;
+                campaign_s = Float.min a.campaign_s b.campaign_s;
+              })
+            (List.hd l) l
+        in
+        let plain = fastest fst and opt = fastest snd in
+        let same_log (s : patch_side) =
+          List.length plain.log = List.length s.log
+          && List.for_all2
+               (fun (c1, v1) (c2, v2) ->
+                 Config.digest k.Kernel.program c1 = Config.digest k.Kernel.program c2
+                 && v1 = v2)
+               plain.log s.log
+        in
+        let same_verdicts = List.for_all same_log sides in
+        let same_final = List.for_all (fun (s : patch_side) -> s.final = plain.final) sides in
+        if not (same_verdicts && same_final) then begin
+          Format.printf
+            "!! %s: patches disagree (verdict sequences identical: %b, finals identical: %b)@."
+            k.Kernel.name same_verdicts same_final;
+          exit 1
+        end;
+        let program = k.Kernel.program in
+        let n = float_of_int (max 1 (List.length opt.log)) in
+        let patch_plain = mean_us opt.log (Patcher.patch program) in
+        let patch_opt = mean_us opt.log (Patcher.patch ~dataflow:true program) in
+        let analysis = mean_us opt.log (Dataflow.analyze program) in
+        let side name (s : patch_side) patch_us analysis_us =
+          let steps = float_of_int s.steps /. n and tests = float_of_int s.testflags /. n in
+          let exec_ms = s.exec_s *. 1e3 /. n and hit = Code_cache.hit_rate s.cache in
+          Format.printf "%-6s %5d | %-9s %12.0f %12.0f %10.3f %10.1f %10.1f %6.1f%% %8.3fs@."
+            k.Kernel.name (List.length s.log) name steps tests exec_ms patch_us analysis_us
+            (100.0 *. hit) s.campaign_s;
+          Printf.sprintf
+            "{ \"steps_per_eval\": %.0f, \"testflags_per_eval\": %.0f, \"exec_ms_per_eval\": \
+             %.4f, \"patch_us_per_eval\": %.2f, \"analysis_us_per_eval\": %.2f, \
+             \"cache_hit_ratio\": %.4f, \"campaign_s\": %.4f }"
+            steps tests exec_ms patch_us analysis_us hit s.campaign_s
+        in
+        let plain_json = side "plain" plain patch_plain 0.0 in
+        let opt_json = side "collapsed" opt patch_opt analysis in
+        Printf.sprintf
+          "    { \"kernel\": %S, \"evals\": %d, \"identical_verdicts\": %b, \
+           \"identical_final\": %b, \"exec_speedup\": %.4f, \"campaign_speedup\": %.4f,\n\
+          \      \"plain\": %s,\n      \"collapsed\": %s }"
+          k.Kernel.name (List.length opt.log) same_verdicts same_final
+          (plain.exec_s /. Float.max 1e-9 opt.exec_s)
+          (plain.campaign_s /. Float.max 1e-9 opt.campaign_s)
+          plain_json opt_json)
+      [ Nas_cg.make Kernel.A; Nas_mg.make Kernel.A; Nas_ep.make Kernel.A; Nas_ft.make Kernel.A ]
+  in
+  let oc = open_out "BENCH_searchpatch.json" in
+  Printf.fprintf oc "{\n  \"nproc\": %d,\n  \"ocaml\": %S,\n  \"kernels\": [\n%s\n  ]\n}\n"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version (String.concat ",\n" rows);
+  close_out oc;
+  Format.printf "(verdict sequences and finals identical; written to BENCH_searchpatch.json)@."
+
 (* -------------------------------------------------------- packed values *)
 
 let packed () =
@@ -1487,6 +1669,7 @@ let sections =
     ("sec33", sec33);
     ("ablation", ablation);
     ("dataflow", dataflow);
+    ("searchpatch", searchpatch);
     ("cancel", cancel);
     ("strategies", strategies);
     ("packed", packed);

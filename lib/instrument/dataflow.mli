@@ -18,7 +18,13 @@
     The analysis is a forward fix-point over each function's CFG, made
     interprocedural with per-function summaries (argument states join over
     call sites; return states flow back — register frames are private, so
-    calls affect only the explicitly passed registers). The float heap is
+    calls affect only the explicitly passed registers). Functions are
+    analyzed from [main] outwards along call edges and re-analyzed whenever
+    one of their inputs grows, until nothing changes: the loop has no round
+    cap, it terminates because every update is a join on a finite lattice.
+    Search evaluations patch through this analysis, so its soundness decides
+    verdicts: an operand state it wrongly reports definite would remove a
+    needed check and surface as a spurious trap. The float heap is
     modeled as a single summary cell (any store taints it with the stored
     state), which is sound and precise enough to remove most checks in
     practice. In-place operand conversion is modeled: after a patched
@@ -37,12 +43,19 @@ type t
 
 val analyze : Ir.program -> Config.t -> t
 (** Fix-point analysis of the program as it will behave {e after} patching
-    with the given configuration. *)
+    with the given configuration. Each candidate's effective flag is
+    resolved once per analysis; it runs once per search evaluation. *)
+
+val at_fixpoint : t -> bool
+(** One more analysis pass over every reached function changes no summary,
+    no heap cell, no reachability and no recorded operand state — the
+    property {!analyze} guarantees (checked by the tests). *)
 
 val operand_state : t -> addr:int -> reg:int -> state
 (** State of float register [reg] immediately before the candidate
-    instruction at [addr] executes. Registers never queried at [addr]
-    report [Either] (conservative). *)
+    instruction at [addr] executes. Registers never queried at [addr], and
+    operands in code the analysis never reaches, report [Either]
+    (conservative). Allocation-free. *)
 
 val checks_removable : t -> Ir.program -> Config.t -> int * int
 (** [(removable, total)] operand checks under the configuration: a check is

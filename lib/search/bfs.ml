@@ -20,7 +20,9 @@ module Target = struct
       | Compile.Interp -> None
     in
     let raw_eval cfg =
-      let patched = Patcher.patch program cfg in
+      (* the paper's §2.5 optimization: checks whose outcome the static
+         data-flow analysis knows collapse or vanish, same semantics *)
+      let patched = Patcher.patch ~dataflow:true program cfg in
       let vm = Vm.create ~checked:true ?max_steps:eval_steps patched in
       setup vm;
       (match (faults, code_cache) with

@@ -70,10 +70,17 @@ module Target : sig
   (** Standard target: [eval cfg] patches the program with [cfg], runs it
       checked with [setup] applied, reads [output] (coerced) and applies
       [verify]; any VM trap or step-limit blowout counts as verification
-      failure. [eval_steps] caps the VM step budget of each evaluation
-      (default 2e9) — a configuration that loops or merely exceeds it is a
-      step-timeout, not a stuck campaign. [faults] arms the deterministic
-      fault injector around every evaluation (never around [profile]).
+      failure. The patch is {!Patcher.patch}[ ~dataflow:true] — the
+      paper's §2.5 optimization, where operand checks whose outcome the
+      static {!Dataflow} analysis knows collapse to an unconditional
+      conversion or vanish. Verdicts (trap addresses and reasons included)
+      are those of the unoptimized patch; only the executed instruction
+      stream is shorter. [eval_steps] caps the VM step budget of each
+      evaluation (default 2e9), counted on that collapsed program — a
+      configuration that loops or merely exceeds it is a step-timeout, not
+      a stuck campaign. [faults] arms the deterministic fault injector
+      around every evaluation (never around [profile]); its faults land on
+      the collapsed program's instruction stream.
 
       [backend] selects the execution engine for plain evaluations
       (default {!Compile.Compiled}, sharing one {!Compile.cache} across

@@ -1,10 +1,14 @@
 (* Tests for the static replaced-value reachability analysis (paper §2.5)
    and its use in the patcher. The checked VM acts as a soundness oracle:
    if the analysis ever removed a needed conversion, the optimized patched
-   binary would trap or diverge from the unoptimized one. *)
+   binary would trap or diverge from the unoptimized one. Every search
+   evaluation patches through the analysis, so the suite also checks that
+   it reaches its fix point and that whole campaigns get the unoptimized
+   patch's verdicts, finals and journals. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
+let checks = Alcotest.check Alcotest.string
 
 let bits_equal a b =
   Array.length a = Array.length b
@@ -68,14 +72,26 @@ let equivalent_under k cfg =
     k.Kernel.setup vm;
     match Vm.run vm with
     | () -> Ok (k.Kernel.output vm)
-    | exception Vm.Trap (_, reason) -> Error reason
+    | exception Vm.Trap (addr, reason) -> Error (addr, reason)
   in
-  (* equivalent outcomes: same outputs, or both crash (e.g. a replaced
-     value reaching an Ignore-flagged routine traps either way) *)
+  (* equivalent outcomes: same outputs, or the same trap (e.g. a replaced
+     value reaching an Ignore-flagged routine traps at the same original
+     instruction either way) *)
   match (run plain, run opt) with
   | Ok a, Ok b -> bits_equal a b
-  | Error _, Error _ -> true
+  | Error a, Error b -> a = b
   | _ -> false
+
+let all_kernels_w () =
+  [
+    Nas_ep.make Kernel.W;
+    Nas_cg.make Kernel.W;
+    Nas_ft.make Kernel.W;
+    Nas_mg.make Kernel.W;
+    Nas_bt.make Kernel.W;
+    Nas_lu.make Kernel.W;
+    Nas_sp.make Kernel.W;
+  ]
 
 let test_equivalence_all_kernels_single () =
   List.iter
@@ -87,15 +103,7 @@ let test_equivalence_all_kernels_single () =
       in
       if not (equivalent_under k cfg) then
         Alcotest.failf "%s: optimized patch diverges (all-single)" k.Kernel.name)
-    [
-      Nas_ep.make Kernel.W;
-      Nas_cg.make Kernel.W;
-      Nas_ft.make Kernel.W;
-      Nas_mg.make Kernel.W;
-      Nas_bt.make Kernel.W;
-      Nas_lu.make Kernel.W;
-      Nas_sp.make Kernel.W;
-    ]
+    (all_kernels_w ())
 
 let test_equivalence_mixed_random () =
   (* random mixed configurations over CG: optimized == unoptimized, checked *)
@@ -200,6 +208,146 @@ let test_overhead_reduction () =
   let opt = run (Patcher.patch ~dataflow:true k.Kernel.program res.Bfs.final) in
   checkb "cheaper" true (opt.Cost.time_cycles < plain.Cost.time_cycles)
 
+(* --------------------------------------------------------- fix point *)
+
+let random_config rng prog ~base =
+  Array.fold_left
+    (fun acc (info : Static.insn_info) ->
+      match Rng.int rng 4 with
+      | 0 -> Config.set_insn acc info.Static.addr Config.Single
+      | 1 -> Config.set_insn acc info.Static.addr (Config.Fmt Formats.half)
+      | 2 -> Config.set_insn acc info.Static.addr Config.Ignore
+      | _ -> acc)
+    base (Static.candidates prog)
+
+let assert_fixpoint what prog cfg =
+  if not (Dataflow.at_fixpoint (Dataflow.analyze prog cfg)) then
+    Alcotest.failf "%s: one more pass after analyze changed the result" what
+
+let test_fixpoint_kernels () =
+  let rng = Rng.create 77 in
+  List.iter
+    (fun (k : Kernel.t) ->
+      let prog = k.Kernel.program in
+      let single =
+        List.fold_left
+          (fun acc n -> Bfs.force_single ~base:k.Kernel.hints acc n)
+          k.Kernel.hints (Static.tree prog)
+      in
+      List.iteri
+        (fun i cfg -> assert_fixpoint (Printf.sprintf "%s config %d" k.Kernel.name i) prog cfg)
+        [
+          Config.empty;
+          k.Kernel.hints;
+          single;
+          random_config rng prog ~base:k.Kernel.hints;
+          random_config rng prog ~base:k.Kernel.hints;
+        ])
+    (all_kernels_w ())
+
+let test_fixpoint_fuzz () =
+  for seed = 1 to Test_fuzz.n_programs do
+    let prog, _ = Test_fuzz.random_program (seed * 7919) in
+    let rng = Rng.create (seed + 31) in
+    for i = 1 to 3 do
+      assert_fixpoint
+        (Printf.sprintf "fuzz seed %d config %d" seed i)
+        prog
+        (random_config rng prog ~base:Config.empty)
+    done
+  done
+
+(* -------------------------------------------- verdict identity (search) *)
+
+(* The target every search evaluation goes through (Bfs.Target.make, which
+   patches with the data-flow analysis) against a hand-built twin that
+   patches without it. Both log every evaluation's classified verdict in
+   order; a campaign driven by identical verdicts evaluates the identical
+   configuration sequence, so the logs must be equal item by item — trap
+   addresses and reasons included — and so must the finals and journals. *)
+let logged (target : Bfs.Target.t) =
+  let log = ref [] in
+  let raw_eval cfg =
+    let record v = log := (Config.digest target.Bfs.Target.program cfg, v) :: !log in
+    match target.Bfs.Target.raw_eval cfg with
+    | ok ->
+        record (if ok then Verdict.Pass else Verdict.Fail_verify);
+        ok
+    | exception e ->
+        record (Verdict.classify_exn e);
+        raise e
+  in
+  (log, { target with Bfs.Target.raw_eval })
+
+let plain_target (k : Kernel.t) =
+  let program = k.Kernel.program in
+  let cache = Compile.create_cache () in
+  let raw_eval cfg =
+    let vm = Vm.create ~checked:true (Patcher.patch program cfg) in
+    k.Kernel.setup vm;
+    Compile.run ~cache vm;
+    k.Kernel.verify (k.Kernel.output vm)
+  in
+  let eval cfg =
+    match raw_eval cfg with ok -> ok | exception Vm.Trap _ -> false | exception Vm.Limit _ -> false
+  in
+  { (Kernel.target k) with Bfs.Target.eval; raw_eval; code_cache = Some cache }
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let campaign (k : Kernel.t) strategy formats target =
+  let log, target = logged target in
+  let path = Filename.temp_file "craft_df" ".journal" in
+  let journal = Journal.create ~path k.Kernel.program in
+  let harness, target = Harness.wrap_target target in
+  let target = Journal.wrap_target journal ~harness target in
+  let options = { Bfs.default_options with base = k.Kernel.hints; formats } in
+  let res = Strategy.run ~options strategy target in
+  Journal.close journal;
+  let text = read_file path in
+  Sys.remove path;
+  (List.rev !log, Config.print k.Kernel.program res.Bfs.final, text)
+
+let test_verdict_identity () =
+  let menus =
+    List.map
+      (fun m -> (m, Result.get_ok (Formats.menu_of_string m)))
+      [ "single"; "bf16,half,single" ]
+  in
+  let strategies =
+    [ Strategy.Bfs; Strategy.Split; Strategy.Delta; Strategy.Anneal Strategy.default_seed ]
+  in
+  let traps = ref 0 in
+  List.iter
+    (fun (k : Kernel.t) ->
+      List.iter
+        (fun strategy ->
+          List.iter
+            (fun (menu, formats) ->
+              let cell =
+                Printf.sprintf "%s/%s/%s" k.Kernel.name (Strategy.to_string strategy) menu
+              in
+              let log_c, final_c, journal_c = campaign k strategy formats (Kernel.target k) in
+              let log_p, final_p, journal_p = campaign k strategy formats (plain_target k) in
+              checki (cell ^ ": evaluations") (List.length log_p) (List.length log_c);
+              List.iteri
+                (fun i ((dp, vp), (dc, vc)) ->
+                  if dp <> dc || vp <> vc then
+                    Alcotest.failf "%s: evaluation %d: plain %s %s, collapsed %s %s" cell i dp
+                      (Verdict.verdict_to_string vp) dc (Verdict.verdict_to_string vc))
+                (List.combine log_p log_c);
+              traps :=
+                !traps
+                + List.length
+                    (List.filter (function _, Verdict.Trapped _ -> true | _ -> false) log_c);
+              checks (cell ^ ": final") final_p final_c;
+              checks (cell ^ ": journal") journal_p journal_c)
+            menus)
+        strategies)
+    [ Nas_cg.make Kernel.W; Nas_mg.make Kernel.W; Nas_ep.make Kernel.W ];
+  (* the identity must cover trap verdicts, not only pass/fail *)
+  checkb "some evaluations trapped" true (!traps > 0)
+
 let suite =
   [
     ("all-double removes all checks", `Quick, test_all_double_removes_all_checks);
@@ -210,4 +358,7 @@ let suite =
     ("states on a small program", `Quick, test_states_small_program);
     ("memory taints loads", `Quick, test_memory_taints);
     ("overhead reduction", `Quick, test_overhead_reduction);
+    ("fix point: NAS kernels at class W", `Quick, test_fixpoint_kernels);
+    ("fix point: fuzz programs", `Quick, test_fixpoint_fuzz);
+    ("verdict identity: campaigns, collapsed vs plain patch", `Quick, test_verdict_identity);
   ]
