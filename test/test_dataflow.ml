@@ -306,7 +306,155 @@ let campaign (k : Kernel.t) strategy formats target =
   Journal.close journal;
   let text = read_file path in
   Sys.remove path;
-  (List.rev !log, Config.print k.Kernel.program res.Bfs.final, text)
+  (List.rev !log, Config.print k.Kernel.program res.Bfs.final, text, res.Bfs.tested)
+
+(* Committed transcripts of every cell, recorded from the campaign drivers
+   before bfs and the machine strategies shared one driver: the MD5 of the
+   evaluated (digest, verdict) sequence, of the final configuration text and
+   of the journal bytes, and the [tested] count. A driver change that moves
+   any of them fails the cell; these are never regenerated. *)
+let goldens =
+  [
+    ( "cg.W/bfs/single",
+      ( "9b2bb7c27d8fc81a5417e5d3dc80daf3",
+        "8ddca841eb6c64117b1b579ae18283ce",
+        "cb9b4a260624cafc0224b62e66828c5a",
+        45 ) );
+    ( "cg.W/bfs/bf16,half,single",
+      ( "07b6b07776d98d20ff8a704b73a12ecb",
+        "a94700860f49aa8f6884b17c0ae56285",
+        "08259f1a6630267c0c192c311e2798f0",
+        53 ) );
+    ( "cg.W/split/single",
+      ( "2c5af1897b29b564fb3e693134f5189f",
+        "c8dac5d515c30c7649d482cdb3410294",
+        "d9664f98ca1a50a851e36aa6ead01d87",
+        75 ) );
+    ( "cg.W/split/bf16,half,single",
+      ( "f907152bb380e18b0384554cc697fdf4",
+        "379f88dc1510befb3d6f13c289b67c78",
+        "e7faecd9a00a6d98fb1867e0699eb70f",
+        93 ) );
+    ( "cg.W/delta/single",
+      ( "40d77577eff4cb8e9eec4eff2df93875",
+        "c8dac5d515c30c7649d482cdb3410294",
+        "c44b782b8e5eacb001a89f07b990e036",
+        132 ) );
+    ( "cg.W/delta/bf16,half,single",
+      ( "513eb9ad0c553ce40c813fb017b94b39",
+        "379f88dc1510befb3d6f13c289b67c78",
+        "1d8190e66d94765898f26551a1ffff1e",
+        150 ) );
+    ( "cg.W/anneal/single",
+      ( "a43445af532f2afd28026d7ae1d28607",
+        "c8dac5d515c30c7649d482cdb3410294",
+        "2bab5ab9d8d70814a226251d6d7a9e61",
+        96 ) );
+    ( "cg.W/anneal/bf16,half,single",
+      ( "396f8d66181ef1135fd9f9b416faf3ed",
+        "379f88dc1510befb3d6f13c289b67c78",
+        "fc4ca0a7748d5ffcd6ce5e40661af3bb",
+        114 ) );
+    ( "mg.W/bfs/single",
+      ( "7b5a4541546d4d95a6c4e7cc8612684d",
+        "cda7fe310087d0ece75fe3a63ae33225",
+        "1e2318719b030d2f0ab9981a609df592",
+        46 ) );
+    ( "mg.W/bfs/bf16,half,single",
+      ( "2b054baa6b9034f2d6b162b24111d7ca",
+        "12c2b83ddf63f87e8af0c1238944e14f",
+        "a72895e8dd9e12882390776d11e70c39",
+        83 ) );
+    ( "mg.W/split/single",
+      ( "8d875928b4876c82b51dc659dcd1fbe4",
+        "ddc042e8c6dc96c9ede0a9ec07bc9690",
+        "19c60fa80b9bda1c5a9ca316adffdcb0",
+        52 ) );
+    ( "mg.W/split/bf16,half,single",
+      ( "8d875928b4876c82b51dc659dcd1fbe4",
+        "ddc042e8c6dc96c9ede0a9ec07bc9690",
+        "19c60fa80b9bda1c5a9ca316adffdcb0",
+        52 ) );
+    ( "mg.W/delta/single",
+      ( "273a0dfc52fad67dc6f7a0a2052583fb",
+        "c016f2cdef113b0d933b04ab1ae3228c",
+        "02cb1f4eff15c16fcb11d5fefa47d932",
+        144 ) );
+    ( "mg.W/delta/bf16,half,single",
+      ( "2f3839a54a0fa6679214046009e156b8",
+        "6d31adb8cb95a41b5660d44184fd3cd3",
+        "d61c6ef03e0ed8561e93404bddc34882",
+        190 ) );
+    ( "mg.W/anneal/single",
+      ( "44946a7a74cece81f57e6e0ef05a53ef",
+        "410fdd1d7d83ec3e3079684b49738808",
+        "06a1f70781c3a017762cc9d17aa758e1",
+        103 ) );
+    ( "mg.W/anneal/bf16,half,single",
+      ( "b70c1c189b268dc163e64b84ccf17d01",
+        "e2fa2af3ad04cf0a8b22874463be4083",
+        "fd81756fd2be0b472171b58121981b36",
+        149 ) );
+    ( "ep.W/bfs/single",
+      ( "884e4aa0916ccc164ab47529db28f4ed",
+        "5fa8c08145054afe44172401e7cb5073",
+        "287d8384a5a337cb9a901f6b50fe4b9f",
+        10 ) );
+    ( "ep.W/bfs/bf16,half,single",
+      ( "f116869724e5d831b57653d67bd22ecc",
+        "6926d0c7d45caa84a457c85e5951bdd8",
+        "ca2f0a95effa67e90a4c8c46d686e96d",
+        17 ) );
+    ( "ep.W/split/single",
+      ( "3305dc65cd765053c5ef9cf1b915b01c",
+        "5be1dfabfaa9b8aa859ac7477efd776d",
+        "7f5e74d0024658e11fe8fd1be0cadd1d",
+        17 ) );
+    ( "ep.W/split/bf16,half,single",
+      ( "303a82b1c1bd0c9e8ce0c8efd3e84b3f",
+        "9a706b032ae40661868fe5cf343bd6f8",
+        "f84dcdc6ecc172b9380dc620d3ac1369",
+        60 ) );
+    ( "ep.W/delta/single",
+      ( "1cf5e7dc2cbb17808ace730d3ac9ca77",
+        "5be1dfabfaa9b8aa859ac7477efd776d",
+        "0906cff0736a89da83a425ae6fb61615",
+        18 ) );
+    ( "ep.W/delta/bf16,half,single",
+      ( "d78c6cfefb32af4b71e7a647453e5c80",
+        "9a706b032ae40661868fe5cf343bd6f8",
+        "26ce6b91c580c2fec7fa62bbf363c8cf",
+        61 ) );
+    ( "ep.W/anneal/single",
+      ( "86622c85708879c4951aff61c22d81d3",
+        "5be1dfabfaa9b8aa859ac7477efd776d",
+        "eeba4e9d74d4bc99266264e546f0b886",
+        46 ) );
+    ( "ep.W/anneal/bf16,half,single",
+      ( "ccdf9d9758522979af361de1d466a72a",
+        "9a706b032ae40661868fe5cf343bd6f8",
+        "e60a943e6c7a8ec64f832423d6ae8f7d",
+        89 ) );
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let check_golden cell log final journal tested =
+  let evals =
+    md5
+      (String.concat "\n"
+         (List.map (fun (d, v) -> d ^ " " ^ Verdict.verdict_to_string v) log))
+  in
+  let got = (evals, md5 final, md5 journal, tested) in
+  match List.assoc_opt cell goldens with
+  | None ->
+      let e, f, j, t = got in
+      Alcotest.failf "%s: no golden; recorded (%S, (%S, %S, %S, %d))" cell cell e f j t
+  | Some (e, f, j, t) ->
+      checks (cell ^ ": golden eval sequence") e evals;
+      checks (cell ^ ": golden final") f (md5 final);
+      checks (cell ^ ": golden journal") j (md5 journal);
+      checki (cell ^ ": golden tested") t tested
 
 let test_verdict_identity () =
   let menus =
@@ -327,8 +475,10 @@ let test_verdict_identity () =
               let cell =
                 Printf.sprintf "%s/%s/%s" k.Kernel.name (Strategy.to_string strategy) menu
               in
-              let log_c, final_c, journal_c = campaign k strategy formats (Kernel.target k) in
-              let log_p, final_p, journal_p = campaign k strategy formats (plain_target k) in
+              let log_c, final_c, journal_c, tested_c =
+                campaign k strategy formats (Kernel.target k)
+              in
+              let log_p, final_p, journal_p, _ = campaign k strategy formats (plain_target k) in
               checki (cell ^ ": evaluations") (List.length log_p) (List.length log_c);
               List.iteri
                 (fun i ((dp, vp), (dc, vc)) ->
@@ -341,7 +491,8 @@ let test_verdict_identity () =
                 + List.length
                     (List.filter (function _, Verdict.Trapped _ -> true | _ -> false) log_c);
               checks (cell ^ ": final") final_p final_c;
-              checks (cell ^ ": journal") journal_p journal_c)
+              checks (cell ^ ": journal") journal_p journal_c;
+              check_golden cell log_c final_c journal_c tested_c)
             menus)
         strategies)
     [ Nas_cg.make Kernel.W; Nas_mg.make Kernel.W; Nas_ep.make Kernel.W ];

@@ -19,8 +19,9 @@ let contains s sub =
   go 0
 
 (* the known-answer synthetic from the BFS tests: [n_ops] const+add
-   chains, the poisoned ones losing bits in single precision *)
-let synthetic ~n_ops ~poison =
+   chains, the poisoned ones losing bits in single precision. [accept]
+   judges the output against the all-double reference (default: exact) *)
+let chains ?(accept = ( = )) ~n_ops ~poison () =
   let t = Builder.create () in
   let out = Builder.alloc_f t n_ops in
   let main =
@@ -36,7 +37,9 @@ let synthetic ~n_ops ~poison =
   Bfs.Target.make program
     ~setup:(fun _ -> ())
     ~output:(fun vm -> Vm.read_f vm out n_ops)
-    ~verify:(fun res -> res = reference)
+    ~verify:(fun res -> accept res reference)
+
+let synthetic ~n_ops ~poison = chains ~n_ops ~poison ()
 
 (* ------------------------------------------------------------- tokens *)
 
@@ -177,6 +180,237 @@ let read_file path =
   close_in ic;
   s
 
+(* ------------------------------------------------------- bfs goldens *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* One bfs campaign with a snapshot after every wave, reduced to a
+   transcript: MD5s of the narration log, the evaluated configuration
+   sequence, the final configuration and every checkpoint file written, plus
+   the counters. [save_counters] runs at the start of each save, so it reads
+   the file the previous save left; the last file is read after the run. *)
+let transcript ?(options = Bfs.default_options) ?(resume = false) ?(evals = true) ~path
+    target =
+  if not resume then Sys.remove path;
+  let target, log = recording target in
+  let files = ref [] in
+  let grab () = if Sys.file_exists path then files := read_file path :: !files in
+  let checkpoint =
+    Bfs.checkpoint ~resume
+      ~save_counters:(fun () ->
+        grab ();
+        [])
+      path
+  in
+  let r = Bfs.search ~options:{ options with checkpoint = Some checkpoint } target in
+  grab ();
+  let p = target.Bfs.Target.program in
+  [
+    "log " ^ md5 (String.concat "\n" r.Bfs.log);
+    Printf.sprintf "tested %d" r.Bfs.tested;
+    "final " ^ md5 (Config.print p r.Bfs.final);
+    Printf.sprintf "final_pass %b" r.Bfs.final_pass;
+    Printf.sprintf "interrupted %b pruned %d" r.Bfs.interrupted r.Bfs.pruned;
+  ]
+  @
+  if not evals then []
+  else
+    Printf.sprintf "snapshots %d" r.Bfs.snapshots
+    :: ("evals " ^ md5 (String.concat "\n" (List.rev !log)))
+    :: List.rev_map (fun f -> "checkpoint " ^ md5 f) !files
+
+let shadow_chains () =
+  let target = synthetic ~n_ops:8 ~poison:[ 1; 6 ] in
+  let program = target.Bfs.Target.program in
+  let tracer = Shadow_tracer.create program in
+  let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:(fun _ -> ()) in
+  let report = Shadow_report.make ~threshold:1e-12 program tracer in
+  (target, Bfs.shadow ~prune_above:1e-10 report)
+
+(* Every transcript below was recorded from [Bfs.search] before it ran on
+   the shared campaign driver, and is never regenerated: the driver must
+   reproduce bfs's narration, evaluation order, counters, snapshot cadence
+   and checkpoint bytes exactly. *)
+let bfs_goldens : (string * string list) list =
+  [
+    ( "plain",
+      [
+        "log 67b308e331f3e90df71b40ef378b7949";
+        "tested 26";
+        "final b1cf63b20c00045ab3f822240d9033bf";
+        "final_pass true";
+        "interrupted false pruned 0";
+        "snapshots 26";
+        "evals 7bb604029dfa5aa7de856ef7bff90311";
+        "checkpoint e3e25c915d9761b9a9f1b2f784066479";
+        "checkpoint 7cc2575397640a5e30e1d9610604802d";
+        "checkpoint bb95cf4aa6e5931a76a83e5c94efe5a4";
+        "checkpoint 52da571844d1e541b69a08844e831c49";
+        "checkpoint fecab1c538db929f3f3144bac7d62205";
+        "checkpoint f935b6c9809a1d88174eb3a400d4f140";
+        "checkpoint a5467bd5aebf487a1c2381d51f820ebf";
+        "checkpoint 91028e6c0cc41e89eb02822a0cdfd899";
+        "checkpoint e5c39d0513781feab53ac39539021630";
+        "checkpoint f3aa1c267c423791f4cca296ecfdb09c";
+        "checkpoint 84a9d900b5077522aa35e5ad9fe0d42c";
+        "checkpoint b3f163de1d7680e1fb54d046a9039d72";
+        "checkpoint 8ab1a0e57d46bcb36c67a83d457e4c8a";
+        "checkpoint 4d16a69b1f54a1a7757858b2de29f965";
+        "checkpoint 3f5d73233f715b64b9d0676801043f86";
+        "checkpoint cffec617a3bcb28f8af05cfd2c45c337";
+        "checkpoint 13e6494f4aab3997e825546ab9c82234";
+        "checkpoint 07df4171acf8fa05edc950c8bd570749";
+        "checkpoint 49f12fa376b6d06341102f11ec061f76";
+        "checkpoint 613f4fdc243fbf60af92d47e791c8f27";
+        "checkpoint d93f9e330ba376c74f455621973454b4";
+        "checkpoint 2767f0aeb407033e29499aceb7490c41";
+        "checkpoint 47b9269b8b3aa36c8857c5940db701a2";
+        "checkpoint 0899b449eef47ba7d309afbba6aab31e";
+        "checkpoint 912967f72fc7ac3a4b2f799587c24cda";
+        "checkpoint 912967f72fc7ac3a4b2f799587c24cda";
+      ] );
+    ( "second phase",
+      [
+        "log e4927416f8284f082475d8897ff08942";
+        "tested 22";
+        "final 89428b0d2ce6ba3ed3761643ffcc2756";
+        "final_pass true";
+        "interrupted false pruned 0";
+        "snapshots 6";
+        "evals 67fbfa7b9a8feeac1800429dd13e0161";
+        "checkpoint 43bf36143d60700fbb9982e75cca0789";
+        "checkpoint c706c122b6383b239c0acc6b478bba36";
+        "checkpoint af7f79dd24ad67e116bc71f40b50c0a5";
+        "checkpoint 461a88595575a4dd9f4c6e35974e8352";
+        "checkpoint 9a8203b293857b16f18cf9cc36f14d3e";
+        "checkpoint 9a8203b293857b16f18cf9cc36f14d3e";
+      ] );
+    ( "shadow seed + prune",
+      [
+        "log ec678b470b92168e26016cdc3bcee00a";
+        "tested 2";
+        "final 43534a6fd66d6fe595b245a02af2a4cd";
+        "final_pass true";
+        "interrupted false pruned 4";
+        "snapshots 5";
+        "evals ebc0e06b1fea8aa5cedd5c45701cfa90";
+        "checkpoint 5a404cd5ed9328d7166aa7fa40cc7b8a";
+        "checkpoint 425d839f701f19b1b157b1d8f6f59286";
+        "checkpoint 2631d93c2876681b2d1b41403a765b76";
+        "checkpoint fd735443b0dfa67ad0f1eb9af6e01dab";
+        "checkpoint fd735443b0dfa67ad0f1eb9af6e01dab";
+      ] );
+    ( "stop after 3 evaluations, resume",
+      [
+        "log 723f6140f08a693586c089e6da359ab0";
+        "tested 4";
+        "final f7b3a46c397d031d380e5ca3a273de9d";
+        "final_pass true";
+        "interrupted true pruned 0";
+        "snapshots 4";
+        "evals 8897dfb1c93f514fed545e7b2ef71a0b";
+        "checkpoint e3e25c915d9761b9a9f1b2f784066479";
+        "checkpoint 7cc2575397640a5e30e1d9610604802d";
+        "checkpoint bb95cf4aa6e5931a76a83e5c94efe5a4";
+        "checkpoint d8a2eda4fbdb26f0cc3a98494c57dd70";
+        "log 71f8f655415e474e69a894e8471bafbc";
+        "tested 26";
+        "final b1cf63b20c00045ab3f822240d9033bf";
+        "final_pass true";
+        "interrupted false pruned 0";
+        "snapshots 23";
+        "evals aa17e251426135b8245940ffdb5b690f";
+        "checkpoint d8a2eda4fbdb26f0cc3a98494c57dd70";
+        "checkpoint dc711f1f3946401cd9598c70a5a5b691";
+        "checkpoint 8739390e1de14f4580bb2f61cc4571c8";
+        "checkpoint 80b2715978f8a669479c317bf9a47adc";
+        "checkpoint 4c302af227e57ca00969b4424c2d9273";
+        "checkpoint 9af68c7dca6ed2f6546ef46173c2225b";
+        "checkpoint a7086f32111ca572547f59a0a5e005e3";
+        "checkpoint 8de1d3271e7262e50e05f7f0fbd418bf";
+        "checkpoint 28d6c3cdc05f389f3d513d659fb20637";
+        "checkpoint affa64e899797f3c0ba73b2314b82a64";
+        "checkpoint fb0b07c891081df9b81a4c923e404149";
+        "checkpoint c3fbee83adcb2ea268cec94e2a4031d2";
+        "checkpoint 60b5503a23e2e3650d988fccb9262cec";
+        "checkpoint e71483cb87d001b775b3e4cc42684aec";
+        "checkpoint 940420e440319bab60c5b13ecc119d55";
+        "checkpoint ccc2c483d4e47fa7efb89f6bd16cce67";
+        "checkpoint a772fe316d7e85a4762fc65224f13792";
+        "checkpoint 5603e73a82dd0b2a6490d4e9a59af96e";
+        "checkpoint 25a7e20f5de79301bd95990c437c7ecb";
+        "checkpoint 0c0f4bf1093ee9bfc35aa1d195337215";
+        "checkpoint 8d6f95aab92ac29557a2ee31ea5b5899";
+        "checkpoint 4f6c6103437a6aba59cb72aa67d2b828";
+        "checkpoint 894a054027b54bbc987026db396ec6cc";
+        "checkpoint 894a054027b54bbc987026db396ec6cc";
+      ] );
+    ( "workers = 4",
+      [
+        "log 67b308e331f3e90df71b40ef378b7949";
+        "tested 26";
+        "final b1cf63b20c00045ab3f822240d9033bf";
+        "final_pass true";
+        "interrupted false pruned 0";
+      ] );
+  ]
+
+let bfs_campaigns =
+  [
+    ("plain", fun path -> transcript ~path (synthetic ~n_ops:10 ~poison:[ 3; 7 ]));
+    ( "second phase",
+      fun path ->
+        (* each poisoned chain fits the error budget alone, two do not: the
+           union fails and the greedy composition decides *)
+        let accept res reference =
+          let err = ref 0.0 in
+          Array.iteri (fun k v -> err := !err +. Float.abs (v -. reference.(k))) res;
+          !err <= 4e-9
+        in
+        transcript ~path
+          ~options:{ Bfs.default_options with second_phase = true }
+          (chains ~accept ~n_ops:8 ~poison:[ 2; 5 ] ()) );
+    ( "shadow seed + prune",
+      fun path ->
+        let target, shadow = shadow_chains () in
+        transcript ~path ~options:{ Bfs.default_options with shadow = Some shadow } target );
+    ( "stop after 3 evaluations, resume",
+      fun path ->
+        let n = Atomic.make 0 in
+        let target = synthetic ~n_ops:10 ~poison:[ 3; 7 ] in
+        let counted =
+          {
+            target with
+            Bfs.Target.eval =
+              (fun cfg ->
+                Atomic.incr n;
+                target.Bfs.Target.eval cfg);
+          }
+        in
+        let stopped =
+          transcript ~path
+            ~options:{ Bfs.default_options with stop = (fun () -> Atomic.get n >= 3) }
+            counted
+        in
+        stopped @ transcript ~path ~resume:true target );
+    ( "workers = 4",
+      fun path ->
+        transcript ~path ~evals:false
+          ~options:{ Bfs.default_options with workers = 4 }
+          (synthetic ~n_ops:10 ~poison:[ 3; 7 ]) );
+  ]
+
+let test_bfs_goldens () =
+  List.iter
+    (fun (name, campaign) ->
+      let got = with_temp campaign in
+      match List.assoc_opt name bfs_goldens with
+      | None ->
+          Alcotest.failf "%s: no golden; recorded [ %s ]" name
+            (String.concat "; " (List.map (Printf.sprintf "%S") got))
+      | Some want -> Alcotest.(check (list string)) (name ^ ": golden transcript") want got)
+    bfs_campaigns
+
 (* the committed fixture is a verbatim pre-strategy checkpoint — written
    before the strategy record existed — and must load with strategy "bfs" *)
 let test_prestrategy_fixture_loads_as_bfs () =
@@ -273,4 +507,5 @@ let suite =
     ("strategy: bfs snapshots stay untagged", `Quick, test_bfs_snapshots_stay_untagged);
     ("strategy: tagged snapshot refuses other strategies", `Quick, test_tagged_snapshot_refuses_other_strategy);
     ("strategy: bfs resumes untagged snapshots", `Quick, test_bfs_resumes_untagged_snapshot_via_strategy_run);
+    ("strategy: bfs golden transcripts", `Quick, test_bfs_goldens);
   ]
