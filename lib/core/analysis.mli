@@ -32,13 +32,10 @@ val recommend :
   unit ->
   recommendation
 
-val recommend_target :
-  ?options:Bfs.options ->
-  ?params:Cost.params ->
-  Bfs.Target.t ->
-  setup:(Vm.t -> unit) ->
-  recommendation
-(** Same, from an existing search target ([setup] is needed again to run
-    the cost-model executions). *)
+val of_result :
+  ?params:Cost.params -> Bfs.Target.t -> setup:(Vm.t -> unit) -> Bfs.result -> recommendation
+(** The recommendation for a finished search of [target], whichever
+    strategy ran it ([setup] is needed again to run the cost-model
+    executions). *)
 
 val pp_summary : Format.formatter -> recommendation -> unit

@@ -161,386 +161,226 @@ let force_flag ~base flag cfg node =
 
 let force_single ~base cfg node = force_flag ~base Config.Single cfg node
 
-type item = { nodes : Static.node list; weight : int; seq : int; score : float }
-(* [score] is the shadow-predicted divergence of flipping exactly these
-   nodes to single (infinity when a control-flow flip was observed inside);
-   0 when the search runs without shadow guidance *)
+let live_insns base node =
+  List.filter (fun info -> Config.effective base info <> Config.Ignore) (Static.node_insns node)
 
-let search ?(options = default_options) (target : Target.t) =
+let weight_of counts base nodes =
+  List.fold_left
+    (fun acc n ->
+      List.fold_left (fun acc (i : Static.insn_info) -> acc + counts.(i.addr)) acc
+        (live_insns base n))
+    0 nodes
+
+(* --------------------------------------------------------------- driver *)
+
+type composed = (Static.node * Config.flag) list * Config.t * bool
+
+type ctx = {
+  target : Target.t;
+  options : options;
+  counts : int array;
+  universe : Static.insn_info list;
+  menu : Formats.t list;
+  entry : Formats.t;
+  say : 'a. ('a, unit, string, unit) format4 -> 'a;
+  eval : Config.t -> Verdict.verdict;
+  prune : Config.t -> float -> unit;
+  save : unit -> unit;
+  compose : (Static.node * Config.flag) list -> composed;
+}
+
+module type S = sig
+  type state
+  type resumed
+
+  val name : string
+  val restore : ctx -> Checkpoint.snapshot -> (resumed, string) Stdlib.result
+  val init : ctx -> resumed option -> state
+  val pending : ctx -> state -> bool
+  val propose : ctx -> state -> Config.t list * state
+  val consume : ctx -> state -> Verdict.verdict list -> state
+  val persist : ctx -> state -> Checkpoint.snapshot -> Checkpoint.snapshot
+  val finish : ctx -> state -> interrupted:bool -> composed
+end
+
+let drive (module M : S) ?(options = default_options) (target : Target.t) =
   let counts = target.profile () in
   let base = options.base in
+  let program = target.program in
   let log = ref [] in
-  let say fmt = Format.kasprintf (fun s -> log := s :: !log) fmt in
-  (* The format lattice. The structural descent runs entirely at the
-     [entry] format (the widest reduced format on the menu — [single] by
-     default, reproducing the pre-lattice search exactly); formats cheaper
-     than the entry are tried per passing structure afterwards,
-     cheapest-first, and the first one that still verifies wins. [double]
-     on the menu means "not replaced" and never enters the descent. *)
-  let menu =
-    List.filter (fun f -> not (Formats.equal f Formats.double)) options.formats
-    |> List.sort_uniq Formats.compare_cost
+  let say fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let tested = ref 0 and snapshots = ref 0 and pruned = ref 0 in
+  (* The worker pool supervises parallel waves. A caller-supplied pool is
+     reused (and left running); otherwise a transient one is staffed for
+     this campaign when [workers > 1] asks for parallelism. *)
+  let transient_pool =
+    match options.pool with
+    | None when options.workers > 1 ->
+        Some (Pool.create ~options:{ Pool.default_options with workers = options.workers } ())
+    | _ -> None
   in
-  let entry_fmt = match List.rev menu with f :: _ -> f | [] -> Formats.single in
-  let entry_flag = Config.of_format entry_fmt in
-  let lower_menu = List.filter (fun f -> Formats.compare_cost f entry_fmt < 0) menu in
-  let live_insns node =
-    List.filter
-      (fun info -> Config.effective base info <> Config.Ignore)
-      (Static.node_insns node)
+  let pool = match options.pool with Some _ as p -> p | None -> transient_pool in
+  let drain_pool () =
+    Option.iter (fun p -> List.iter (say "POOL %s") (Pool.drain_events p)) pool
   in
-  let weight_of nodes =
-    List.fold_left
-      (fun acc n ->
-        List.fold_left (fun acc (i : Static.insn_info) -> acc + counts.(i.addr)) acc
-          (live_insns n))
-      0 nodes
-  in
-  let universe =
-    Array.to_list (Static.candidates target.program)
-    |> List.filter (fun info -> Config.effective base info <> Config.Ignore)
-  in
-  let n_candidates = List.length universe in
-  (* shadow-predicted divergence of an item's node set: the worst observed
-     per-instruction divergence, or infinity when any contained instruction
-     flipped a comparison/conversion outcome (its prediction — and that of
-     everything data-dependent — is unreliable, so such items are never
-     pruned and sort last under reordering) *)
-  let shadow_score nodes =
-    match options.shadow with
-    | None -> 0.0
-    | Some s ->
-        List.fold_left
-          (fun acc n ->
-            List.fold_left
-              (fun acc (i : Static.insn_info) ->
-                if Shadow_report.flips_at s.report i.addr > 0 then infinity
-                else Float.max acc (Shadow_report.max_rel_at s.report i.addr))
-              acc (live_insns n))
-          0.0 nodes
-  in
-  let shadow_reorder =
-    match options.shadow with Some s -> s.reorder | None -> false
-  in
-  let seq = ref 0 in
-  let mk nodes =
-    incr seq;
-    { nodes; weight = weight_of nodes; seq = !seq; score = shadow_score nodes }
-  in
-  let queue = ref [] in
-  let push it = if it.nodes <> [] then queue := it :: !queue in
-  let pop_batch n =
-    let cmp a b =
-      if shadow_reorder then
-        (* most tolerant first: predicted divergence ascending, then the
-           profile weight (heavier = more dynamic coverage), then seq *)
-        match Float.compare a.score b.score with
-        | 0 -> (
-            match compare b.weight a.weight with 0 -> compare a.seq b.seq | c -> c)
-        | c -> c
-      else if options.prioritize then
-        match compare b.weight a.weight with 0 -> compare a.seq b.seq | c -> c
-      else compare a.seq b.seq
-    in
-    let sorted = List.sort cmp !queue in
-    let rec take k = function
-      | [] -> ([], [])
-      | x :: rest when k > 0 ->
-          let batch, leftover = take (k - 1) rest in
-          (x :: batch, leftover)
-      | rest -> ([], rest)
-    in
-    let batch, rest = take n sorted in
-    queue := rest;
-    batch
-  in
-  let cfg_of_item it =
-    List.fold_left (fun acc n -> force_flag ~base entry_flag acc n) base it.nodes
-  in
-  let tested = ref 0 in
-  let passing = ref [] in
-  let snapshots = ref 0 in
   (* An evaluation must never abort the campaign: any exception escaping
      [target.eval] (a crashing verify routine, OOM, a stack overflow, ...)
      is this one configuration's classified failure, not the search's.
      Only the deliberate [Aborted] control exception passes through — it
      IS the campaign dying (kill simulation / operator interrupt). *)
-  let eval_verdict cfg =
+  let verdict cfg () =
     match target.eval cfg with
     | true -> Verdict.Pass
     | false -> Verdict.Fail_verify
     | exception Aborted -> raise Aborted
     | exception e -> Verdict.classify_exn e
   in
-  let contained_eval cfg = eval_verdict cfg = Verdict.Pass in
-  (* The worker pool supervises parallel waves. A caller-supplied pool is
-     reused (and left running); otherwise a transient one is staffed for
-     this campaign when [workers > 1] asks for parallelism. *)
-  let transient_pool =
-    match (options.pool, options.workers) with
-    | Some _, _ | None, 1 -> None
-    | None, w when w <= 1 -> None
-    | None, w ->
-        Some
-          (Pool.create
-             ~options:{ Pool.default_options with workers = w }
-             ())
+  let eval_wave cfgs =
+    tested := !tested + List.length cfgs;
+    let thunks = List.map verdict cfgs in
+    match pool with None -> List.map (fun f -> f ()) thunks | Some p -> Pool.run p thunks
   in
-  let pool = match options.pool with Some p -> Some p | None -> transient_pool in
-  let drain_pool () =
-    match pool with
-    | None -> ()
-    | Some p -> List.iter (fun e -> say "POOL %s" e) (Pool.drain_events p)
+  let eval cfg = List.hd (eval_wave [ cfg ]) in
+  let compose units =
+    let final = List.fold_left (fun acc (n, fl) -> force_flag ~base fl acc n) base units in
+    let final_pass = eval final = Verdict.Pass in
+    say "FINAL union of %d passing structures: %s" (List.length units)
+      (if final_pass then "pass" else "fail");
+    if final_pass || not options.second_phase then (units, final, final_pass)
+    else begin
+      (* Greedy composition: add individually-passing structures heaviest
+         first, keeping only those that compose into a passing whole. *)
+      let weight (n, _) = weight_of counts base [ n ] in
+      let kept, final =
+        List.fold_left
+          (fun (kept, acc) (node, fl) ->
+            let trial = force_flag ~base fl acc node in
+            if eval trial = Verdict.Pass then begin
+              say "COMPOSE keep %s" (Static.node_name node);
+              ((node, fl) :: kept, trial)
+            end
+            else begin
+              say "COMPOSE drop %s" (Static.node_name node);
+              (kept, acc)
+            end)
+          ([], base)
+          (List.sort (fun a b -> compare (weight b) (weight a)) units)
+      in
+      (List.rev kept, final, true)
+    end
   in
-  let eval_items items =
-    tested := !tested + List.length items;
-    match (items, pool) with
-    | [ it ], None -> [ (it, eval_verdict (cfg_of_item it)) ]
-    | _, None -> List.map (fun it -> (it, eval_verdict (cfg_of_item it))) items
-    | _, Some p ->
-        let thunks =
-          List.map
-            (fun it ->
-              let cfg = cfg_of_item it in
-              fun () -> eval_verdict cfg)
-            items
-        in
-        List.combine items (Pool.run p thunks)
+  (* The format lattice. Structural moves run at the [entry] format (the
+     widest reduced format on the menu — [single] by default, reproducing
+     the pre-lattice search exactly); cheaper formats are tried afterwards.
+     [double] on the menu means "not replaced" and never enters the search. *)
+  let menu =
+    List.filter (fun f -> not (Formats.equal f Formats.double)) options.formats
+    |> List.sort_uniq Formats.compare_cost
   in
-  (* ----------------------------------------------------------- checkpoint *)
-  let save_snapshot () =
-    match options.checkpoint with
-    | None -> ()
-    | Some ck ->
-        let entry it =
-          {
-            Checkpoint.seq = it.seq;
-            weight = it.weight;
-            nodes = List.map Checkpoint.node_id it.nodes;
-          }
-        in
+  let entry = match List.rev menu with f :: _ -> f | [] -> Formats.single in
+  let candidates = Array.to_list (Static.candidates program) in
+  let still_double = List.filter (fun i -> Config.effective base i = Config.Double) candidates in
+  let prune cfg score =
+    incr pruned;
+    Option.iter (fun s -> s.on_pruned cfg score) options.shadow
+  in
+  let key = Checkpoint.program_key program in
+  let state = ref None in
+  let rec ctx =
+    {
+      target;
+      options;
+      counts;
+      universe = still_double;
+      menu = (if menu = [] then [ Formats.single ] else menu);
+      entry;
+      say;
+      eval;
+      prune;
+      save;
+      compose;
+    }
+  and save () =
+    match (options.checkpoint, !state) with
+    | Some ck, Some st ->
         Checkpoint.save ~path:ck.path
-          {
-            Checkpoint.key = Checkpoint.program_key target.program;
-            tested = !tested;
-            next_seq = !seq;
-            queue = List.map entry !queue;
-            passing = List.map Checkpoint.flagged_id (List.rev !passing);
-            counters = ck.save_counters ();
-            log = List.rev !log;
-            strategy = "bfs";
-          };
+          (M.persist ctx st
+             {
+               Checkpoint.key;
+               tested = !tested;
+               next_seq = 0;
+               queue = [];
+               passing = [];
+               counters = ck.save_counters ();
+               log = List.rev !log;
+               strategy = M.name;
+             });
         incr snapshots
+    | _ -> ()
   in
-  let restored =
+  (* resume validation: the snapshot must load, come from this program and
+     from this strategy, and resolve in the machine's own terms *)
+  let resumed =
     match options.checkpoint with
     | Some ck when ck.resume -> (
-        match Checkpoint.load ~path:ck.path with
-        | Error msg ->
-            say "CHECKPOINT not resumed: %s" msg;
-            false
-        | Ok snap when snap.Checkpoint.key <> Checkpoint.program_key target.program ->
-            say "CHECKPOINT not resumed: written by a different program (key %s)"
-              snap.Checkpoint.key;
-            false
-        | Ok snap when snap.Checkpoint.strategy <> "bfs" ->
-            say "CHECKPOINT not resumed: written by strategy %s"
-              snap.Checkpoint.strategy;
-            false
-        | Ok snap -> (
-            let resolve_with res ids =
-              List.fold_left
-                (fun acc id ->
-                  match acc with
-                  | Error _ as e -> e
-                  | Ok nodes -> (
-                      match res target.program id with
-                      | Ok n -> Ok (n :: nodes)
-                      | Error _ as e -> e))
-                (Ok []) ids
-              |> Result.map List.rev
-            in
-            let resolve_all = resolve_with Checkpoint.resolve in
-            let entries =
-              List.fold_left
-                (fun acc (e : Checkpoint.entry) ->
-                  match acc with
-                  | Error _ as err -> err
-                  | Ok items -> (
-                      match resolve_all e.Checkpoint.nodes with
-                      | Ok nodes ->
-                          Ok
-                            ({ nodes; weight = e.weight; seq = e.seq; score = shadow_score nodes }
-                            :: items)
-                      | Error _ as err -> err))
-                (Ok []) snap.Checkpoint.queue
-            in
-            match (entries, resolve_with Checkpoint.resolve_flagged snap.Checkpoint.passing) with
-            | Error msg, _ | _, Error msg ->
-                say "CHECKPOINT not resumed: %s" msg;
-                false
-            | Ok items, Ok passed ->
-                log := List.rev snap.Checkpoint.log;
-                queue := items;
-                passing := List.rev passed;
-                tested := snap.Checkpoint.tested;
-                seq := snap.Checkpoint.next_seq;
-                ck.restore_counters snap.Checkpoint.counters;
-                say "RESUME from checkpoint: %d tested, %d queued, %d passing"
-                  snap.Checkpoint.tested (List.length items) (List.length passed);
-                true))
-    | _ -> false
-  in
-  let pruned = ref 0 in
-  let seed_default () =
-    (* Seed the queue with one configuration per module. *)
-    List.iter
-      (fun node -> if live_insns node <> [] then push (mk [ node ]))
-      (Static.tree target.program)
-  in
-  if not restored then begin
-    (* Shadow seeding: evaluate the predicted configuration once. If it
-       passes, its structures enter the passing set immediately and only
-       the unpredicted remainder of the tree is queued; if it fails, the
-       prediction bought nothing and the search seeds normally. *)
-    let shadow_seeded =
-      match options.shadow with
-      | Some s when s.seed_predicted -> (
-          let pred =
-            List.filter (fun n -> live_insns n <> []) (Shadow_report.predicted_nodes s.report)
-          in
-          match pred with
-          | [] ->
-              say "SHADOW seed: nothing predicted single";
-              false
-          | pred -> (
-              let cfg =
-                List.fold_left (fun acc n -> force_flag ~base entry_flag acc n) base pred
-              in
-              incr tested;
-              match eval_verdict cfg with
-              | Verdict.Pass ->
-                  say "SHADOW seed: predicted configuration passes — %d structure(s) pre-accepted"
-                    (List.length pred);
-                  passing := List.rev_map (fun n -> (n, entry_flag)) pred @ !passing;
-                  let module ISet = Set.Make (Int) in
-                  let pred_addrs =
-                    List.fold_left
-                      (fun acc n ->
-                        List.fold_left
-                          (fun acc (i : Static.insn_info) -> ISet.add i.addr acc)
-                          acc (live_insns n))
-                      ISet.empty pred
-                  in
-                  (* queue the not-yet-accepted remainder, descending just
-                     far enough to carve the predicted structures out *)
-                  let rec residual node =
-                    let insns = live_insns node in
-                    if insns = [] then []
-                    else if
-                      List.for_all (fun (i : Static.insn_info) -> ISet.mem i.addr pred_addrs) insns
-                    then []
-                    else if
-                      List.exists (fun (i : Static.insn_info) -> ISet.mem i.addr pred_addrs) insns
-                    then List.concat_map residual (children_of node)
-                    else [ node ]
-                  in
-                  List.iter
-                    (fun m -> List.iter (fun n -> push (mk [ n ])) (residual m))
-                    (Static.tree target.program);
-                  true
-              | v ->
-                  say "SHADOW seed: predicted configuration %s — seeding normally"
-                    (Verdict.verdict_label v);
-                  false))
-      | _ -> false
-    in
-    if not shadow_seeded then seed_default ()
-  end;
-  let halves xs =
-    let n = List.length xs in
-    let rec split k = function
-      | rest when k = 0 -> ([], rest)
-      | [] -> ([], [])
-      | x :: rest ->
-          let a, b = split (k - 1) rest in
-          (x :: a, b)
-    in
-    split ((n + 1) / 2) xs
-  in
-  let descend it =
-    match it.nodes with
-    | [] -> ()
-    | [ node ] ->
-        if node_rank node < rank options.stop_at then begin
-          let cs = List.filter (fun c -> live_insns c <> []) (children_of node) in
-          match cs with
-          | [] -> ()
-          | _ when options.binary_split && List.length cs > options.split_threshold ->
-              let a, b = halves cs in
-              push (mk a);
-              push (mk b)
-          | _ -> List.iter (fun c -> push (mk [ c ])) cs
-        end
-    | nodes ->
-        (* a failing partition splits in two again *)
-        let a, b = halves nodes in
-        if options.binary_split && List.length a > 1 then begin
-          push (mk a);
-          push (mk b)
-        end
-        else List.iter (fun n -> push (mk [ n ])) nodes
-  in
-  let finish ~interrupted () =
-    let passing_flags = List.rev !passing in
-    let passing_nodes = List.map fst passing_flags in
-    let final =
-      List.fold_left (fun acc (n, fl) -> force_flag ~base fl acc n) base passing_flags
-    in
-    incr tested;
-    let final_pass = contained_eval final in
-    say "FINAL union of %d passing structures: %s" (List.length passing_nodes)
-      (if final_pass then "pass" else "fail");
-    let final, final_pass =
-      if final_pass || not options.second_phase then (final, final_pass)
-      else begin
-        (* Greedy composition: add individually-passing structures heaviest
-           first, keeping only those that compose into a passing whole. *)
-        let units =
-          List.sort
-            (fun (a, _) (b, _) -> compare (weight_of [ b ]) (weight_of [ a ]))
-            passing_flags
+        let refuse why =
+          say "CHECKPOINT not resumed: %s" why;
+          None
         in
-        let acc = ref base in
-        List.iter
-          (fun (node, fl) ->
-            let trial = force_flag ~base fl !acc node in
-            incr tested;
-            if contained_eval trial then begin
-              acc := trial;
-              say "COMPOSE keep %s" (Static.node_name node)
-            end
-            else say "COMPOSE drop %s" (Static.node_name node))
-          units;
-        (!acc, true)
+        match Checkpoint.load ~path:ck.path with
+        | Error why -> refuse why
+        | Ok snap when snap.key <> key ->
+            refuse (Printf.sprintf "written by a different program (key %s)" snap.key)
+        | Ok snap when snap.strategy <> M.name -> refuse ("written by strategy " ^ snap.strategy)
+        | Ok snap -> (
+            match M.restore ctx snap with
+            | Error why -> refuse why
+            | Ok r ->
+                log := List.rev snap.log;
+                tested := snap.tested;
+                ck.restore_counters snap.counters;
+                Some r))
+    | _ -> None
+  in
+  let run () =
+    (* the stop request is polled only at wave boundaries, so it never cuts
+       a wave in half; "interrupted" means work was still pending *)
+    let rec loop wave st =
+      state := Some st;
+      if not (M.pending ctx st) then (st, false)
+      else if options.stop () then (st, true)
+      else begin
+        let cfgs, st = M.propose ctx st in
+        let st = M.consume ctx st (eval_wave cfgs) in
+        drain_pool ();
+        state := Some st;
+        (* snapshots happen only at wave boundaries, where the machine's
+           state is exactly the campaign's resumable state *)
+        (match options.checkpoint with
+        | Some ck when wave mod max 1 ck.every = 0 -> save ()
+        | _ -> ());
+        loop (wave + 1) st
       end
     in
+    let st, interrupted = loop 1 (M.init ctx resumed) in
+    let passing_flags, final, final_pass = M.finish ctx st ~interrupted in
+    (* statistics over the non-ignored candidates; the dynamic denominator
+       counts every FP candidate execution, including Ignore-flagged ones:
+       ignored work is floating-point work that was not replaced *)
     let replaced info =
       match Config.effective final info with
       | Config.Single | Config.Fmt _ -> true
       | Config.Double | Config.Ignore -> false
     in
+    let universe = List.filter (fun i -> Config.effective base i <> Config.Ignore) candidates in
+    let n_candidates = List.length universe in
     let static_replaced = List.length (List.filter replaced universe) in
-    (* the dynamic denominator counts every FP candidate execution, including
-       Ignore-flagged instructions: ignored work is floating-point work that
-       was not replaced *)
     let dyn_num, dyn_den =
-      Array.fold_left
+      List.fold_left
         (fun (num, den) (info : Static.insn_info) ->
           let c = counts.(info.addr) in
           ((if replaced info then num + c else num), den + c))
-        (0, 0)
-        (Static.candidates target.program)
+        (0, 0) candidates
     in
     drain_pool ();
     {
@@ -551,9 +391,9 @@ let search ?(options = default_options) (target : Target.t) =
       static_replaced;
       static_pct = Stats.percent (float_of_int static_replaced) (float_of_int n_candidates);
       dynamic_pct = Stats.percent (float_of_int dyn_num) (float_of_int dyn_den);
-      passing_nodes;
+      passing_nodes = List.map fst passing_flags;
       passing_flags;
-      bits_saved = Config.bits_saved target.program final;
+      bits_saved = Config.bits_saved program final;
       log = List.rev !log;
       supervisor = Option.map Pool.stats pool;
       snapshots = !snapshots;
@@ -561,101 +401,296 @@ let search ?(options = default_options) (target : Target.t) =
       interrupted;
     }
   in
-  let run () =
-    let wave = ref 0 in
-    let stopped () =
-      (* polled only at wave boundaries, so a stop request never cuts a
-         wave in half: the saved checkpoint is always a consistent state *)
-      options.stop () && !queue <> []
+  match transient_pool with
+  | None -> run ()
+  | Some p -> Fun.protect ~finally:(fun () -> Pool.shutdown p) run
+
+(* --------------------------------------------------------- bfs machine *)
+
+type item = { nodes : Static.node list; weight : int; seq : int; score : float }
+(* [score] is the shadow-predicted divergence of flipping exactly these
+   nodes to single (infinity when a control-flow flip was observed inside);
+   0 when the search runs without shadow guidance *)
+
+module Descent = struct
+  let name = "bfs"
+
+  type state = {
+    mutable queue : item list;
+    mutable inflight : item list;
+    mutable passing : (Static.node * Config.flag) list;  (** newest first *)
+    mutable last_seq : int;
+  }
+
+  type resumed = {
+    tested : int;
+    items : item list;
+    passed : (Static.node * Config.flag) list;
+    next_seq : int;
+  }
+
+  let live ctx = live_insns ctx.options.base
+  let entry_flag ctx = Config.of_format ctx.entry
+
+  let cfg_of ctx nodes =
+    let base = ctx.options.base in
+    List.fold_left (fun acc n -> force_flag ~base (entry_flag ctx) acc n) base nodes
+
+  (* shadow-predicted divergence of an item's node set: the worst observed
+     per-instruction divergence, or infinity when any contained instruction
+     flipped a comparison/conversion outcome (its prediction — and that of
+     everything data-dependent — is unreliable, so such items are never
+     pruned and sort last under reordering) *)
+  let score ctx nodes =
+    match ctx.options.shadow with
+    | None -> 0.0
+    | Some s ->
+        List.fold_left
+          (fun acc n ->
+            List.fold_left
+              (fun acc (i : Static.insn_info) ->
+                if Shadow_report.flips_at s.report i.addr > 0 then infinity
+                else Float.max acc (Shadow_report.max_rel_at s.report i.addr))
+              acc (live ctx n))
+          0.0 nodes
+
+  let mk ctx st nodes =
+    st.last_seq <- st.last_seq + 1;
+    {
+      nodes;
+      weight = weight_of ctx.counts ctx.options.base nodes;
+      seq = st.last_seq;
+      score = score ctx nodes;
+    }
+
+  let push st it = if it.nodes <> [] then st.queue <- it :: st.queue
+
+  let halves xs =
+    let rec split k = function
+      | rest when k = 0 -> ([], rest)
+      | [] -> ([], [])
+      | x :: rest ->
+          let a, b = split (k - 1) rest in
+          (x :: a, b)
     in
-    while !queue <> [] && not (options.stop ()) do
-      let batch = pop_batch (max 1 options.workers) in
-      (* shadow pruning: an item whose predicted divergence exceeds the hard
-         bound is treated as a failure without spending an evaluation — the
-         skip is journaled as a [Pruned] verdict (never silent) and the item
-         still descends, so finer-grained candidates below it are never lost
-         (completeness is preserved; only the doomed aggregate evaluation is
-         saved). Items containing flips score infinity and are never pruned. *)
-      let batch =
-        match options.shadow with
-        | Some ({ prune_above = Some bound; _ } as s) ->
-            List.filter
-              (fun it ->
-                if Float.is_finite it.score && it.score > bound then begin
-                  incr pruned;
-                  let names = String.concat " + " (List.map Static.node_name it.nodes) in
-                  say "PRUNED %s (predicted divergence %.3e > bound %.3e)" names it.score
-                    bound;
-                  s.on_pruned (cfg_of_item it) it.score;
-                  descend it;
-                  false
-                end
-                else true)
-              batch
-        | _ -> batch
-      in
-      let results = eval_items batch in
-      List.iter
-        (fun (it, verdict) ->
-          let names = String.concat " + " (List.map Static.node_name it.nodes) in
-          match verdict with
-          | Verdict.Pass ->
-              say "PASS %s (weight %d)" names it.weight;
-              passing := List.map (fun n -> (n, entry_flag)) it.nodes @ !passing
-          | v ->
-              say "%s %s (weight %d)"
-                (String.uppercase_ascii (Verdict.verdict_label v))
-                names it.weight;
-              descend it)
-        results;
-      drain_pool ();
-      incr wave;
-      (* snapshots happen only at wave boundaries: results of the whole wave
-         are folded in and the descent is queued, so the saved queue +
-         passing set are exactly the campaign's resumable state *)
-      (match options.checkpoint with
-      | Some ck when !wave mod ck.every = 0 -> save_snapshot ()
-      | _ -> ())
-    done;
-    let interrupted = stopped () in
+    split ((List.length xs + 1) / 2) xs
+
+  let descend ctx st it =
+    let o = ctx.options in
+    match it.nodes with
+    | [] -> ()
+    | [ node ] ->
+        if node_rank node < rank o.stop_at then begin
+          let cs = List.filter (fun c -> live ctx c <> []) (children_of node) in
+          match cs with
+          | [] -> ()
+          | _ when o.binary_split && List.length cs > o.split_threshold ->
+              let a, b = halves cs in
+              push st (mk ctx st a);
+              push st (mk ctx st b)
+          | _ -> List.iter (fun c -> push st (mk ctx st [ c ])) cs
+        end
+    | nodes ->
+        (* a failing partition splits in two again *)
+        let a, b = halves nodes in
+        if o.binary_split && List.length a > 1 then begin
+          push st (mk ctx st a);
+          push st (mk ctx st b)
+        end
+        else List.iter (fun n -> push st (mk ctx st [ n ])) nodes
+
+  let restore ctx (snap : Checkpoint.snapshot) =
+    let program = ctx.target.program in
+    let items =
+      List.fold_left
+        (fun acc (e : Checkpoint.entry) ->
+          Result.bind acc (fun items ->
+              Checkpoint.resolve_list Checkpoint.resolve program e.nodes
+              |> Result.map (fun nodes ->
+                     { nodes; weight = e.weight; seq = e.seq; score = score ctx nodes } :: items)))
+        (Ok []) snap.queue
+    in
+    match (items, Checkpoint.resolve_list Checkpoint.resolve_flagged program snap.passing) with
+    | Error why, _ | _, Error why -> Error why
+    | Ok items, Ok passed -> Ok { tested = snap.tested; items; passed; next_seq = snap.next_seq }
+
+  (* Shadow seeding: evaluate the predicted configuration once, outside any
+     wave. If it passes, its structures enter the passing set immediately
+     and only the unpredicted remainder of the tree is queued; if it fails,
+     the prediction bought nothing and the search seeds normally. *)
+  let shadow_seed ctx st =
+    match ctx.options.shadow with
+    | Some s when s.seed_predicted -> (
+        match List.filter (fun n -> live ctx n <> []) (Shadow_report.predicted_nodes s.report) with
+        | [] ->
+            ctx.say "SHADOW seed: nothing predicted single";
+            false
+        | pred -> (
+            match ctx.eval (cfg_of ctx pred) with
+            | Verdict.Pass ->
+                ctx.say "SHADOW seed: predicted configuration passes — %d structure(s) pre-accepted"
+                  (List.length pred);
+                st.passing <- List.rev_map (fun n -> (n, entry_flag ctx)) pred;
+                let module ISet = Set.Make (Int) in
+                let pred_addrs =
+                  List.fold_left
+                    (fun acc n ->
+                      List.fold_left
+                        (fun acc (i : Static.insn_info) -> ISet.add i.addr acc)
+                        acc (live ctx n))
+                    ISet.empty pred
+                in
+                let predicted (i : Static.insn_info) = ISet.mem i.addr pred_addrs in
+                (* queue the not-yet-accepted remainder, descending just far
+                   enough to carve the predicted structures out *)
+                let rec residual node =
+                  let insns = live ctx node in
+                  if insns = [] || List.for_all predicted insns then []
+                  else if List.exists predicted insns then
+                    List.concat_map residual (children_of node)
+                  else [ node ]
+                in
+                List.iter
+                  (fun m -> List.iter (fun n -> push st (mk ctx st [ n ])) (residual m))
+                  (Static.tree ctx.target.program);
+                true
+            | v ->
+                ctx.say "SHADOW seed: predicted configuration %s — seeding normally"
+                  (Verdict.verdict_label v);
+                false))
+    | _ -> false
+
+  let init ctx resumed =
+    let st = { queue = []; inflight = []; passing = []; last_seq = 0 } in
+    (match resumed with
+    | Some r ->
+        st.queue <- r.items;
+        st.passing <- List.rev r.passed;
+        st.last_seq <- r.next_seq;
+        ctx.say "RESUME from checkpoint: %d tested, %d queued, %d passing" r.tested
+          (List.length r.items) (List.length r.passed)
+    | None ->
+        (* otherwise one item per module *)
+        if not (shadow_seed ctx st) then
+          List.iter
+            (fun node -> if live ctx node <> [] then push st (mk ctx st [ node ]))
+            (Static.tree ctx.target.program));
+    st
+
+  let pending _ st = st.queue <> []
+
+  let propose ctx st =
+    let cmp a b =
+      let by_weight () = match compare b.weight a.weight with 0 -> compare a.seq b.seq | c -> c in
+      match ctx.options.shadow with
+      | Some { reorder = true; _ } -> (
+          (* most tolerant first: predicted divergence ascending, then the
+             profile weight (heavier = more dynamic coverage), then seq *)
+          match Float.compare a.score b.score with 0 -> by_weight () | c -> c)
+      | _ when ctx.options.prioritize -> by_weight ()
+      | _ -> compare a.seq b.seq
+    in
+    let rec take k = function
+      | x :: rest when k > 0 ->
+          let batch, leftover = take (k - 1) rest in
+          (x :: batch, leftover)
+      | rest -> ([], rest)
+    in
+    let batch, rest = take (max 1 ctx.options.workers) (List.sort cmp st.queue) in
+    st.queue <- rest;
+    (* shadow pruning: an item whose predicted divergence exceeds the hard
+       bound is treated as a failure without spending an evaluation — the
+       skip is journaled as a [Pruned] verdict (never silent) and the item
+       still descends, so finer-grained candidates below it are never lost
+       (completeness is preserved; only the doomed aggregate evaluation is
+       saved). Items containing flips score infinity and are never pruned.
+       A wave whose items were all pruned is still a wave. *)
+    let batch =
+      match ctx.options.shadow with
+      | Some { prune_above = Some bound; _ } ->
+          List.filter
+            (fun it ->
+              if Float.is_finite it.score && it.score > bound then begin
+                ctx.say "PRUNED %s (predicted divergence %.3e > bound %.3e)"
+                  (String.concat " + " (List.map Static.node_name it.nodes))
+                  it.score bound;
+                ctx.prune (cfg_of ctx it.nodes) it.score;
+                descend ctx st it;
+                false
+              end
+              else true)
+            batch
+      | _ -> batch
+    in
+    st.inflight <- batch;
+    (List.map (fun it -> cfg_of ctx it.nodes) batch, st)
+
+  let consume ctx st verdicts =
+    List.iter2
+      (fun it verdict ->
+        let names = String.concat " + " (List.map Static.node_name it.nodes) in
+        match verdict with
+        | Verdict.Pass ->
+            ctx.say "PASS %s (weight %d)" names it.weight;
+            st.passing <- List.map (fun n -> (n, entry_flag ctx)) it.nodes @ st.passing
+        | v ->
+            ctx.say "%s %s (weight %d)"
+              (String.uppercase_ascii (Verdict.verdict_label v))
+              names it.weight;
+            descend ctx st it)
+      st.inflight verdicts;
+    st.inflight <- [];
+    st
+
+  let persist _ st snap =
+    let entry it =
+      { Checkpoint.seq = it.seq; weight = it.weight; nodes = List.map Checkpoint.node_id it.nodes }
+    in
+    {
+      snap with
+      Checkpoint.next_seq = st.last_seq;
+      queue = List.map entry st.queue;
+      passing = List.map Checkpoint.flagged_id (List.rev st.passing);
+    }
+
+  let finish ctx st ~interrupted =
     if interrupted then
-      say "INTERRUPTED with %d item(s) still queued — composing the partial result"
-        (List.length !queue);
+      ctx.say "INTERRUPTED with %d item(s) still queued — composing the partial result"
+        (List.length st.queue);
     (* Lattice descent: every structure that passed at the entry format is
        retried at each strictly cheaper format on the menu, cheapest first;
        the first format that still verifies wins and the structure keeps
        that flag in the final union. One structure failing to descend
        costs at most |menu|-1 evaluations and changes nothing else. *)
-    if lower_menu <> [] && not interrupted then
-      passing :=
+    let lower = List.filter (fun f -> Formats.compare_cost f ctx.entry < 0) ctx.menu in
+    if lower <> [] && not interrupted then
+      st.passing <-
         List.map
           (fun (node, flag) ->
-            if options.stop () then (node, flag)
-            else begin
-              let name = Static.node_name node in
-              let rec try_fmts = function
-                | [] -> (node, flag)
-                | f :: rest -> (
-                    let cfg = force_flag ~base (Config.of_format f) base node in
-                    incr tested;
-                    match eval_verdict cfg with
-                    | Verdict.Pass ->
-                        say "LATTICE %s descends to %s" name (Formats.name f);
-                        (node, Config.of_format f)
-                    | v ->
-                        say "LATTICE %s at %s: %s" name (Formats.name f)
-                          (Verdict.verdict_label v);
-                        try_fmts rest)
-              in
-              try_fmts lower_menu
-            end)
-          !passing;
-    (* a final snapshot is flushed either way: a stop request leaves the
-       still-queued frontier on disk, so a later --resume continues the
-       campaign instead of restarting it *)
-    save_snapshot ();
-    finish ~interrupted ()
-  in
-  match transient_pool with
-  | None -> run ()
-  | Some p -> Fun.protect ~finally:(fun () -> Pool.shutdown p) run
+            let name = Static.node_name node in
+            let rec try_fmts = function
+              | [] -> (node, flag)
+              | f :: rest -> (
+                  let base = ctx.options.base in
+                  match ctx.eval (force_flag ~base (Config.of_format f) base node) with
+                  | Verdict.Pass ->
+                      ctx.say "LATTICE %s descends to %s" name (Formats.name f);
+                      (node, Config.of_format f)
+                  | v ->
+                      ctx.say "LATTICE %s at %s: %s" name (Formats.name f)
+                        (Verdict.verdict_label v);
+                      try_fmts rest)
+            in
+            if ctx.options.stop () then (node, flag) else try_fmts lower)
+          st.passing;
+    (* a final snapshot is flushed either way, before the union: a stop
+       request leaves the still-queued frontier on disk, so a later
+       --resume continues the campaign instead of restarting it *)
+    ctx.save ();
+    let passing = List.rev st.passing in
+    let _, final, final_pass = ctx.compose passing in
+    (passing, final, final_pass)
+end
+
+let machine = (module Descent : S)
+let search ?options target = drive machine ?options target

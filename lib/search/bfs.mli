@@ -15,14 +15,16 @@
       work item by the dynamic execution count of the instructions it
       covers, and the work queue is processed heaviest-first.
 
+    The descent is one wave machine ({!S}) on the campaign driver
+    ({!drive}), the same driver every other search strategy runs on.
     Configuration evaluations are independent full program runs. With
     [workers > 1] they are dispatched in deterministic waves to a
     supervised {!Pool} of long-lived worker domains — either one the
-    caller supplies (shared with {!Strategies}, carrying a wall-clock
-    deadline) or a transient one staffed for this campaign. Every
-    evaluation is classified through {!Verdict.classify}: a trap, step
-    blowout, out-of-memory or stack overflow is that one item's TRAP /
-    TIMEOUT / CRASH verdict in the log, never the campaign's death.
+    caller supplies (carrying a wall-clock deadline) or a transient one
+    staffed for this campaign. Every evaluation is classified through
+    {!Verdict.classify}: a trap, step blowout, out-of-memory or stack
+    overflow is that one item's TRAP / TIMEOUT / CRASH verdict in the log,
+    never the campaign's death.
 
     With [checkpoint] set, the live search state (work queue, passing
     set, test counter, caller counters, narration log) is atomically
@@ -230,7 +232,99 @@ type result = {
 }
 
 val search : ?options:options -> Target.t -> result
-(** Raises only {!Aborted} (and only if an evaluator raises it). *)
+(** [drive machine]. Raises only {!Aborted} (and only if an evaluator
+    raises it). *)
+
+(** {1 The campaign driver} *)
+
+type composed = (Static.node * Config.flag) list * Config.t * bool
+(** The structures in a final configuration (with the flag each ended
+    at), the configuration, and whether it passes. *)
+
+type ctx = {
+  target : Target.t;  (** program, eval path, profile, code cache *)
+  options : options;
+      (** the full campaign options: base config, pool, checkpointing,
+          shadow guidance, format menu, stop polling — machines read what
+          they need *)
+  counts : int array;
+      (** address-indexed dynamic execution counts from one profiling run *)
+  universe : Static.insn_info list;
+      (** the candidate instructions still double under [options.base] —
+          the paper's set [Pd] minus user hints *)
+  menu : Formats.t list;
+      (** reduced formats of [options.formats], cost-sorted ascending;
+          [[Formats.single]] when the menu is empty *)
+  entry : Formats.t;
+      (** widest reduced format — the flag structural moves are tried at *)
+  say : 'a. ('a, unit, string, unit) format4 -> 'a;
+      (** append one line to the campaign narration *)
+  eval : Config.t -> Verdict.verdict;
+      (** one contained evaluation outside any wave (seeds, lattice steps,
+          top-ups); counted in [tested], on the pool when there is one *)
+  prune : Config.t -> float -> unit;
+      (** report a candidate skipped without evaluation, with its predicted
+          divergence: counted in [pruned] and passed to the shadow options'
+          [on_pruned] *)
+  save : unit -> unit;
+      (** write a snapshot of the machine's current state now, when the
+          campaign checkpoints *)
+  compose : (Static.node * Config.flag) list -> composed;
+      (** evaluate the union of accepted structures and, when it fails and
+          [second_phase] is set, compose them greedily heaviest first *)
+}
+(** What a machine sees of its campaign: static facts plus the driver's
+    services. *)
+
+(** A search strategy as a wave state machine. The driver owns pool
+    staffing, evaluation containment, stop polling, checkpoint cadence,
+    resume validation and the result statistics; a machine only decides
+    what to evaluate next and what its verdicts mean. *)
+module type S = sig
+  type state
+  type resumed
+
+  val name : string
+  (** The checkpoint tag. [bfs] snapshots are written untagged. *)
+
+  val restore : ctx -> Checkpoint.snapshot -> (resumed, string) Stdlib.result
+  (** Resolve a snapshot the driver has validated (it loads, and its
+      program key and strategy tag match); an [Error] is narrated and the
+      campaign starts fresh. *)
+
+  val init : ctx -> resumed option -> state
+  (** The starting state, fresh or resumed. May evaluate through
+      [ctx.eval]; that is outside any wave. *)
+
+  val pending : ctx -> state -> bool
+  (** Work is left: the driver proposes another wave, or, when a stop is
+      requested, finishes the campaign as interrupted. *)
+
+  val propose : ctx -> state -> Config.t list * state
+  (** The next wave of configurations to evaluate. An empty wave is still
+      a wave. *)
+
+  val consume : ctx -> state -> Verdict.verdict list -> state
+  (** Fold one wave's verdicts (in proposal order) into the state. *)
+
+  val persist : ctx -> state -> Checkpoint.snapshot -> Checkpoint.snapshot
+  (** Fill the machine's part of a snapshot ([next_seq], [queue],
+      [passing]). *)
+
+  val finish : ctx -> state -> interrupted:bool -> composed
+  (** Compose the final configuration, sequencing the driver's [eval],
+      [save] (the final snapshot, written exactly once) and [compose]. *)
+end
+
+val drive : (module S) -> ?options:options -> Target.t -> result
+(** Run one machine to completion: waves on the caller's pool, a transient
+    pool, or inline; a snapshot every [every] waves plus the final one; the
+    stop request polled before each wave. Raises only {!Aborted}. *)
+
+val machine : (module S)
+(** The paper's structural descent: shadow seeding, reordering and
+    pruning, binary splitting, profile ordering, then a per-structure
+    lattice descent before the union. *)
 
 val force_flag : base:Config.t -> Config.flag -> Config.t -> Static.node -> Config.t
 (** [force_flag ~base flag cfg node] marks [node] with [flag] in [cfg] —

@@ -83,6 +83,12 @@ let resolve_flagged program id =
       | Some flag -> Result.map (fun n -> (n, flag)) (resolve program base)
       | None -> Error (Printf.sprintf "checkpoint: bad flag token in id %S" id))
 
+let resolve_list resolve program ids =
+  List.fold_left
+    (fun acc id -> Result.bind acc (fun xs -> Result.map (fun x -> x :: xs) (resolve program id)))
+    (Ok []) ids
+  |> Result.map List.rev
+
 (* A cheap structural fingerprint so a checkpoint is never resumed against a
    different program: FNV-1a over every node id of the structure tree. *)
 let program_key program =

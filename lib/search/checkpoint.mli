@@ -76,5 +76,11 @@ val resolve_flagged : Ir.program -> string -> (Static.node * Config.flag, string
 (** Inverse of {!flagged_id}; an id without [@] resolves with flag
     [Single], so old checkpoints replay to the same resumed state. *)
 
+val resolve_list :
+  (Ir.program -> string -> ('a, string) result) -> Ir.program -> string list ->
+  ('a list, string) result
+(** Resolve every id in order with {!resolve} or {!resolve_flagged}; the
+    first failure is the result. *)
+
 val program_key : Ir.program -> string
 (** 16-hex-digit structural fingerprint of the program's candidate tree. *)

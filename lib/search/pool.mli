@@ -31,8 +31,7 @@
     Well-behaved stacks (thunks wrapped in {!Verdict.classify} or
     {!Harness.eval}) are total, so worker deaths only arise from genuinely
     abnormal failures. Results are returned in submission order; a pool is
-    meant to be created once per campaign and reused across waves (and by
-    {!Strategies}). *)
+    meant to be created once per campaign and reused across waves. *)
 
 type options = {
   workers : int;  (** long-lived worker domains (clamped to ≥ 1) *)
@@ -79,8 +78,7 @@ val run : t -> (unit -> Verdict.verdict) list -> Verdict.verdict list
     execution. Results are in submission order. Never raises from a task. *)
 
 val run_one : t -> (unit -> Verdict.verdict) -> Verdict.verdict
-(** [run] for a single task — how {!Strategies} puts its sequential
-    evaluations under supervision. *)
+(** [run] for a single task. *)
 
 val shutdown : t -> unit
 (** Stop accepting work, join every live worker and the monitor. Abandoned

@@ -216,9 +216,8 @@ let run_campaign t j =
     | Error _ -> Strategy.Bfs
   in
   let finally () = Option.iter Journal.close journal in
-  (* Strategy.run with Bfs IS Bfs.search — same moves, same journal, same
-     checkpoints; the other strategies drive the same wrapped eval path
-     (store, fleet offload, journal) through their wave machines *)
+  (* every strategy runs on the one campaign driver, through the same
+     wrapped eval path (store, fleet offload, journal) *)
   let res = Fun.protect ~finally (fun () -> Strategy.run ~options strategy target) in
   let summary =
     Printf.sprintf

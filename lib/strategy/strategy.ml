@@ -37,42 +37,34 @@ let of_string s =
 
 type flagged = (Static.insn_info * Config.flag) list
 
-type ctx = {
-  target : Bfs.Target.t;
-  options : Bfs.options;
-  counts : int array;
-  universe : Static.insn_info list;
-  menu : Formats.t list;
-  entry : Formats.t;
-}
-
-module type S = sig
+(* A flat machine searches the candidate instructions directly; [Flat]
+   lifts it onto the campaign driver with the shared resume, snapshot and
+   finish pipeline. [propose] must be pure: an empty proposal is how the
+   driver learns that no work is pending. Narration goes to [ctx.say]. *)
+module type FLAT = sig
   type state
 
   val name : string
-  val init : ctx -> resume:flagged option -> state * string list
-  val propose : ctx -> state -> Config.t list * state
-  val consume : ctx -> state -> Verdict.verdict list -> state * string list
-  val flagged : ctx -> state -> flagged
+  val init : Bfs.ctx -> flagged option -> state
+  val propose : Bfs.ctx -> state -> Config.t list * state
+  val consume : Bfs.ctx -> state -> Verdict.verdict list -> state
+  val flagged : Bfs.ctx -> state -> flagged
 end
 
 (* ------------------------------------------------------ shared helpers *)
 
 let addr (i : Static.insn_info) = i.Static.addr
-let count ctx i = ctx.counts.(addr i)
+let count (ctx : Bfs.ctx) i = ctx.counts.(addr i)
 let weight_of ctx insns = List.fold_left (fun a i -> a + count ctx i) 0 insns
-let entry_flag ctx = Config.of_format ctx.entry
+let entry_flag (ctx : Bfs.ctx) = Config.of_format ctx.entry
 
-let config_of_flagged ctx fs =
-  List.fold_left
-    (fun acc (i, fl) -> Config.set_insn acc (addr i) fl)
-    ctx.options.Bfs.base fs
+let config_of_flagged (ctx : Bfs.ctx) fs =
+  List.fold_left (fun acc (i, fl) -> Config.set_insn acc (addr i) fl) ctx.options.base fs
 
 let config_of_insns ctx insns =
   config_of_flagged ctx (List.map (fun i -> (i, entry_flag ctx)) insns)
 
-let by_addr fs =
-  List.sort (fun (a, _) (b, _) -> compare (addr a) (addr b)) fs
+let by_addr fs = List.sort (fun (a, _) (b, _) -> compare (addr a) (addr b)) fs
 
 (* heaviest first, address ascending on ties — the deterministic order
    every count-driven choice below uses *)
@@ -106,28 +98,17 @@ module Split_m = struct
   let name = "split"
 
   type group = { insns : Static.insn_info list; weight : int }
-
-  type state = {
-    queue : group list;
-    inflight : group list;
-    accepted : flagged;
-    rejected : int;
-  }
+  type state = { queue : group list; inflight : group list; accepted : flagged }
 
   let group ctx insns = { insns; weight = weight_of ctx insns }
 
-  let init ctx ~resume =
+  let init (ctx : Bfs.ctx) resume =
     let accepted = Option.value resume ~default:[] in
     let rest = diff ctx.universe (List.map fst accepted) in
-    let queue = if rest = [] then [] else [ group ctx rest ] in
-    ( { queue; inflight = []; accepted; rejected = 0 },
-      [
-        Printf.sprintf "SPLIT %d candidates, total weight %d"
-          (List.length rest) (weight_of ctx rest);
-      ] )
+    ctx.say "SPLIT %d candidates, total weight %d" (List.length rest) (weight_of ctx rest);
+    { queue = (if rest = [] then [] else [ group ctx rest ]); inflight = []; accepted }
 
-  let propose ctx st =
-    let width = max 1 ctx.options.Bfs.workers in
+  let propose (ctx : Bfs.ctx) st =
     let sorted =
       List.sort
         (fun a b ->
@@ -136,7 +117,7 @@ module Split_m = struct
           | c -> c)
         st.queue
     in
-    let batch, rest = take width sorted in
+    let batch, rest = take (max 1 ctx.options.workers) sorted in
     ( List.map (fun g -> config_of_insns ctx g.insns) batch,
       { st with queue = rest; inflight = batch } )
 
@@ -158,36 +139,24 @@ module Split_m = struct
       (by_count_desc ctx g.insns);
     (group ctx (List.rev !a), group ctx (List.rev !b))
 
-  let consume ctx st verdicts =
-    let lines = ref [] in
-    let say fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
-    let st =
-      List.fold_left2
-        (fun st g v ->
-          match v with
-          | Verdict.Pass ->
-              say "SPLIT pass: group of %d (weight %d)" (List.length g.insns)
-                g.weight;
-              {
-                st with
-                accepted =
-                  st.accepted @ List.map (fun i -> (i, entry_flag ctx)) g.insns;
-              }
-          | v ->
-              say "SPLIT %s: group of %d (weight %d)" (Verdict.verdict_label v)
-                (List.length g.insns) g.weight;
-              if List.length g.insns <= 1 then
-                { st with rejected = st.rejected + 1 }
-              else begin
-                let a, b = halves ctx g in
-                { st with queue = a :: b :: st.queue }
-              end)
-        { st with inflight = [] }
-        st.inflight verdicts
-    in
-    (st, List.rev !lines)
+  let consume (ctx : Bfs.ctx) st verdicts =
+    List.fold_left2
+      (fun st g v ->
+        let size = List.length g.insns in
+        match v with
+        | Verdict.Pass ->
+            ctx.say "SPLIT pass: group of %d (weight %d)" size g.weight;
+            { st with accepted = st.accepted @ List.map (fun i -> (i, entry_flag ctx)) g.insns }
+        | v ->
+            ctx.say "SPLIT %s: group of %d (weight %d)" (Verdict.verdict_label v) size g.weight;
+            if size <= 1 then st
+            else
+              let a, b = halves ctx g in
+              { st with queue = a :: b :: st.queue })
+      { st with inflight = [] }
+      st.inflight verdicts
 
-  let flagged _ctx st = st.accepted
+  let flagged _ st = st.accepted
 end
 
 (* -------------------------------------------------------------- delta *)
@@ -203,21 +172,21 @@ module Delta_m = struct
     | Probe  (** test the whole active set next *)
     | Await_probe
     | Await_chunks of int * Static.insn_info list list
-        (** granularity, the complement sets proposed this wave *)
+        (** granularity, the complement sets proposed this wave ([[]]:
+            propose the next complement wave) *)
     | Grow of Static.insn_info list  (** still to try adding back *)
     | Await_grow of Static.insn_info * Static.insn_info list
     | Finished
 
   type state = { phase : phase; active : Static.insn_info list }
 
-  let init ctx ~resume =
-    match resume with
+  let init (ctx : Bfs.ctx) = function
     | Some fs ->
-        ( { phase = Probe; active = List.map fst fs },
-          [ Printf.sprintf "DELTA resume with %d active" (List.length fs) ] )
+        ctx.say "DELTA resume with %d active" (List.length fs);
+        { phase = Probe; active = List.map fst fs }
     | None ->
-        ( { phase = Probe; active = ctx.universe },
-          [ Printf.sprintf "DELTA %d candidates" (List.length ctx.universe) ] )
+        ctx.say "DELTA %d candidates" (List.length ctx.universe);
+        { phase = Probe; active = ctx.universe }
 
   let chunks g xs =
     let n = List.length xs in
@@ -230,93 +199,61 @@ module Delta_m = struct
     in
     go [] [] 0 xs
 
-  let start_grow ctx active =
-    let removed = by_count_asc ctx (diff ctx.universe active) in
-    match removed with
+  let start_grow (ctx : Bfs.ctx) active =
+    match by_count_asc ctx (diff ctx.universe active) with
     | [] -> { phase = Finished; active }
-    | _ -> { phase = Grow removed; active }
+    | removed -> { phase = Grow removed; active }
 
   let propose ctx st =
     match st.phase with
     | Probe -> ([ config_of_insns ctx st.active ], { st with phase = Await_probe })
+    | Await_chunks (g, []) -> (
+        (* propose every complement of the g-partition at once; consume
+           keeps the first passing one (proposal order), exactly the
+           choice the sequential ddmin loop would make *)
+        match List.filter (( <> ) []) (List.map (diff st.active) (chunks g st.active)) with
+        | [] -> ([], start_grow ctx [])
+        | cs -> (List.map (config_of_insns ctx) cs, { st with phase = Await_chunks (g, cs) }))
     | Grow (i :: rest) ->
-        ( [ config_of_insns ctx (i :: st.active) ],
-          { st with phase = Await_grow (i, rest) } )
+        ([ config_of_insns ctx (i :: st.active) ], { st with phase = Await_grow (i, rest) })
     | Grow [] | Finished -> ([], { st with phase = Finished })
     | Await_probe | Await_chunks _ | Await_grow _ -> ([], st)
 
-  let shrink_wave ctx st g =
-    (* propose every complement of the g-partition at once; consume keeps
-       the first passing one (proposal order), exactly the choice the
-       sequential ddmin loop would make *)
-    let cs =
-      List.map (fun c -> diff st.active c) (chunks g st.active)
-      |> List.filter (fun c -> c <> [])
-    in
-    match cs with
-    | [] -> ([], start_grow ctx [])
-    | _ ->
-        ( List.map (config_of_insns ctx) cs,
-          { st with phase = Await_chunks (g, cs) } )
-
-  let propose ctx st =
-    match st.phase with
-    | Await_chunks (g, []) -> shrink_wave ctx st g
-    | _ -> propose ctx st
-
-  let consume ctx st verdicts =
-    let say fmt = Printf.ksprintf (fun s -> [ s ]) fmt in
+  let consume (ctx : Bfs.ctx) st verdicts =
+    let n = List.length st.active in
     match (st.phase, verdicts) with
     | Await_probe, [ Verdict.Pass ] ->
-        ( start_grow ctx st.active,
-          say "DELTA active set of %d passes" (List.length st.active) )
+        ctx.say "DELTA active set of %d passes" n;
+        start_grow ctx st.active
+    | Await_probe, [ _ ] when n <= 1 ->
+        ctx.say "DELTA active set fails and cannot shrink; growing from empty";
+        start_grow ctx []
     | Await_probe, [ _ ] ->
-        if List.length st.active <= 1 then
-          ( start_grow ctx [],
-            say "DELTA active set fails and cannot shrink; growing from empty" )
-        else
-          (* signal propose to emit the g=2 complement wave *)
-          ( { st with phase = Await_chunks (2, []) },
-            say "DELTA active set of %d fails; shrinking" (List.length st.active)
-          )
+        ctx.say "DELTA active set of %d fails; shrinking" n;
+        { st with phase = Await_chunks (2, []) }
     | Await_chunks (g, cs), verdicts -> (
-        let passing =
-          List.find_opt (fun (_, v) -> v = Verdict.Pass) (List.combine cs verdicts)
-        in
-        match passing with
+        match List.find_opt (fun (_, v) -> v = Verdict.Pass) (List.combine cs verdicts) with
         | Some (smaller, _) ->
-            ( start_grow ctx smaller,
-              say "DELTA complement of %d passes" (List.length smaller) )
+            ctx.say "DELTA complement of %d passes" (List.length smaller);
+            start_grow ctx smaller
+        | None when g >= n ->
+            ctx.say "DELTA no complement passes at granularity %d; growing from empty" g;
+            start_grow ctx []
         | None ->
-            if g >= List.length st.active then
-              ( start_grow ctx [],
-                say "DELTA no complement passes at granularity %d; growing \
-                     from empty"
-                  g )
-            else
-              ( {
-                  st with
-                  phase = Await_chunks (min (List.length st.active) (2 * g), []);
-                },
-                say "DELTA granularity %d -> %d" g (2 * g) ))
+            ctx.say "DELTA granularity %d -> %d" g (2 * g);
+            { st with phase = Await_chunks (min n (2 * g), []) })
     | Await_grow (i, rest), [ v ] ->
-        let st =
-          if v = Verdict.Pass then { phase = Grow rest; active = i :: st.active }
-          else { st with phase = Grow rest }
-        in
-        ( st,
-          say "DELTA grow %s: %s"
-            (Printf.sprintf "0x%06x" (addr i))
-            (Verdict.verdict_label v) )
-    | _, _ -> (st, [])
+        ctx.say "DELTA grow 0x%06x: %s" (addr i) (Verdict.verdict_label v);
+        if v = Verdict.Pass then { phase = Grow rest; active = i :: st.active }
+        else { st with phase = Grow rest }
+    | _, _ -> st
 
   let flagged ctx st =
     match st.phase with
     | Probe | Await_probe | Await_chunks _ ->
         (* mid-shrink the active set is not known to pass; persist nothing *)
         []
-    | Grow _ | Await_grow _ | Finished ->
-        List.map (fun i -> (i, entry_flag ctx)) st.active
+    | Grow _ | Await_grow _ | Finished -> List.map (fun i -> (i, entry_flag ctx)) st.active
 end
 
 (* ------------------------------------------------------------- anneal *)
@@ -328,7 +265,7 @@ end
    that randomly evicts ~1/3 of the solution and re-sweeps. Deterministic
    from the explicit seed: every random draw comes from one [Rng] stream,
    and evaluation order is strictly sequential. *)
-let anneal_machine seed : (module S) =
+let anneal_machine seed : (module FLAT) =
   (module struct
     let name = to_string (Anneal seed)
 
@@ -348,90 +285,60 @@ let anneal_machine seed : (module S) =
       Rng.shuffle rng a;
       Array.to_list a
 
-    let init ctx ~resume =
+    let init (ctx : Bfs.ctx) resume =
       let rng = Rng.create seed in
+      let sweeping current best =
+        let sweep = shuffled rng (diff ctx.universe current) in
+        { rng; current; best; sweep; restarts_left = restarts; phase = `Sweep }
+      in
       match resume with
       | Some fs ->
+          ctx.say "ANNEAL resume with %d accepted" (List.length fs);
           let current = List.map fst fs in
-          ( {
-              rng;
-              current;
-              best = current;
-              sweep = shuffled rng (diff ctx.universe current);
-              restarts_left = restarts;
-              phase = `Sweep;
-            },
-            [ Printf.sprintf "ANNEAL resume with %d accepted" (List.length fs) ]
-          )
+          sweeping current current
       | None -> (
           let predicted =
-            match ctx.options.Bfs.shadow with
+            match ctx.options.shadow with
             | Some s ->
-                List.concat_map Static.node_insns
-                  (Shadow_report.predicted_nodes s.Bfs.report)
+                List.concat_map Static.node_insns (Shadow_report.predicted_nodes s.Bfs.report)
                 |> List.filter (mem_addr ctx.universe)
             | None -> []
           in
           match predicted with
           | [] ->
-              ( {
-                  rng;
-                  current = [];
-                  best = [];
-                  sweep = shuffled rng ctx.universe;
-                  restarts_left = restarts;
-                  phase = `Sweep;
-                },
-                [ "ANNEAL no shadow seed; greedy sweep from empty" ] )
+              ctx.say "ANNEAL no shadow seed; greedy sweep from empty";
+              sweeping [] []
           | p ->
-              ( {
-                  rng;
-                  current = p;
-                  best = [];
-                  sweep = [];
-                  restarts_left = restarts;
-                  phase = `Seed;
-                },
-                [
-                  Printf.sprintf "ANNEAL shadow seed: %d predicted"
-                    (List.length p);
-                ] ))
+              ctx.say "ANNEAL shadow seed: %d predicted" (List.length p);
+              { rng; current = p; best = []; sweep = []; restarts_left = restarts; phase = `Seed })
 
     let propose ctx st =
       match st.phase with
       | `Seed -> ([ config_of_insns ctx st.current ], st)
       | `Sweep -> (
           match st.sweep with
-          | [] -> ([], st)  (* consume never leaves an exhausted sweep *)
+          | [] -> ([], st)
           | i :: rest ->
-              ( [ config_of_insns ctx (i :: st.current) ],
-                { st with sweep = rest; phase = `Await i } ))
+              ([ config_of_insns ctx (i :: st.current) ], { st with sweep = rest; phase = `Await i }))
       | `Await _ | `Finished -> ([], st)
 
+    let larger a b = if List.length a > List.length b then a else b
+
     (* a sweep ended: either restart (evicting a random ~1/3) or finish *)
-    let rec settle ctx st lines =
-      if st.sweep <> [] then (st, lines)
+    let rec settle (ctx : Bfs.ctx) st =
+      if st.sweep <> [] then st
       else begin
-        let best =
-          if List.length st.current > List.length st.best then st.current
-          else st.best
-        in
-        if st.restarts_left = 0 then
-          ( { st with best; phase = `Finished },
-            lines
-            @ [
-                Printf.sprintf "ANNEAL done: best solution keeps %d"
-                  (List.length best);
-              ] )
+        let best = larger st.current st.best in
+        if st.restarts_left = 0 then begin
+          ctx.say "ANNEAL done: best solution keeps %d" (List.length best);
+          { st with best; phase = `Finished }
+        end
         else begin
           let keep = List.filter (fun _ -> Rng.int st.rng 3 > 0) st.current in
-          let line =
-            Printf.sprintf "ANNEAL restart: evicted %d of %d, %d restarts left"
-              (List.length st.current - List.length keep)
-              (List.length st.current)
-              (st.restarts_left - 1)
-          in
-          let st =
+          ctx.say "ANNEAL restart: evicted %d of %d, %d restarts left"
+            (List.length st.current - List.length keep)
+            (List.length st.current) (st.restarts_left - 1);
+          settle ctx
             {
               st with
               best;
@@ -440,342 +347,118 @@ let anneal_machine seed : (module S) =
               restarts_left = st.restarts_left - 1;
               phase = `Sweep;
             }
-          in
-          settle ctx st (lines @ [ line ])
         end
       end
 
-    let consume ctx st verdicts =
+    let consume (ctx : Bfs.ctx) st verdicts =
       match (st.phase, verdicts) with
       | `Seed, [ v ] ->
           let ok = v = Verdict.Pass in
+          ctx.say "ANNEAL shadow seed %s" (if ok then "passes" else "fails; starting empty");
           let current = if ok then st.current else [] in
-          let st =
-            {
-              st with
-              current;
-              sweep = shuffled st.rng (diff ctx.universe current);
-              phase = `Sweep;
-            }
-          in
-          settle ctx st
-            [
-              Printf.sprintf "ANNEAL shadow seed %s"
-                (if ok then "passes" else "fails; starting empty");
-            ]
+          settle ctx
+            { st with current; sweep = shuffled st.rng (diff ctx.universe current); phase = `Sweep }
       | `Await i, [ v ] ->
-          let st =
-            if v = Verdict.Pass then
-              { st with current = i :: st.current; phase = `Sweep }
-            else { st with phase = `Sweep }
-          in
-          settle ctx st []
-      | _, _ -> (st, [])
+          let current = if v = Verdict.Pass then i :: st.current else st.current in
+          settle ctx { st with current; phase = `Sweep }
+      | _, _ -> st
 
     let flagged ctx st =
-      let chosen =
-        match st.phase with
-        | `Finished -> st.best
-        | _ ->
-            if List.length st.current > List.length st.best then st.current
-            else st.best
-      in
+      let chosen = match st.phase with `Finished -> st.best | _ -> larger st.current st.best in
       List.map (fun i -> (i, entry_flag ctx)) chosen
   end)
 
+(* ------------------------------------------------ the shared flat tail *)
+
+(* greedy top-up: every candidate the strategy left double gets one
+   chance on top of the final set, heaviest first — each strategy ends
+   maximal over the same move set, which is what makes the bake-off's
+   "no worse than BFS" assertion meaningful *)
+let top_up (ctx : Bfs.ctx) fs =
+  List.fold_left
+    (fun fs i ->
+      let trial = (i, entry_flag ctx) :: fs in
+      if ctx.eval (config_of_flagged ctx trial) = Verdict.Pass then begin
+        ctx.say "TOPUP keep 0x%06x" (addr i);
+        by_addr trial
+      end
+      else fs)
+    fs
+    (by_count_desc ctx (diff ctx.universe (List.map fst fs)))
+
+(* per-instruction lattice descent, cheapest format first, keeping the
+   whole configuration passing after every accepted step *)
+let lattice (ctx : Bfs.ctx) fs =
+  let lower = List.filter (fun f -> Formats.compare_cost f ctx.entry < 0) ctx.menu in
+  List.fold_left
+    (fun fs (i, _) ->
+      let rec try_fmts = function
+        | [] -> fs
+        | f :: rest ->
+            let flag = Config.of_format f in
+            let trial = List.map (fun (j, fl) -> (j, if addr j = addr i then flag else fl)) fs in
+            if ctx.eval (config_of_flagged ctx trial) = Verdict.Pass then begin
+              ctx.say "LATTICE 0x%06x descends to %s" (addr i) (Formats.name f);
+              trial
+            end
+            else try_fmts rest
+      in
+      try_fmts lower)
+    fs fs
+
+(* A flat machine on the campaign driver: its snapshots carry the accepted
+   set one instruction per id, and its finish composes that set, then tops
+   it up and lattice-descends it while the union passes. *)
+module Flat (M : FLAT) : Bfs.S = struct
+  type state = M.state
+  type resumed = int * flagged
+
+  let name = M.name
+  let propose = M.propose
+  let consume = M.consume
+  let pending ctx st = fst (M.propose ctx st) <> []
+  let nodes fs = List.map (fun (i, fl) -> (Static.Insn i, fl)) fs
+  let accepted ctx st = nodes (by_addr (M.flagged ctx st))
+
+  let restore (ctx : Bfs.ctx) (snap : Checkpoint.snapshot) =
+    let resolve program id =
+      match Checkpoint.resolve_flagged program id with
+      | Error why -> Error why
+      | Ok (node, fl) -> (
+          match Static.node_insns node with
+          | [ info ] -> Ok (info, fl)
+          | _ -> Error (Printf.sprintf "checkpoint id %S is not one instruction" id))
+    in
+    Checkpoint.resolve_list resolve ctx.target.program snap.passing
+    |> Result.map (fun fs -> (snap.tested, fs))
+
+  let init (ctx : Bfs.ctx) = function
+    | None -> M.init ctx None
+    | Some (tested, fs) ->
+        ctx.say "RESUME from %s checkpoint: %d tested, %d accepted" name tested (List.length fs);
+        M.init ctx (Some fs)
+
+  let persist ctx st snap =
+    { snap with Checkpoint.passing = List.map Checkpoint.flagged_id (accepted ctx st) }
+
+  let finish (ctx : Bfs.ctx) st ~interrupted =
+    if interrupted then ctx.say "STOP requested: composing what was accepted so far";
+    let kept, _, final_pass = ctx.compose (accepted ctx st) in
+    let fs =
+      by_addr
+        (List.concat_map (fun (n, fl) -> List.map (fun i -> (i, fl)) (Static.node_insns n)) kept)
+    in
+    let fs = if final_pass && not interrupted then lattice ctx (top_up ctx fs) else fs in
+    ctx.save ();
+    (nodes fs, config_of_flagged ctx fs, final_pass)
+end
+
 let machine = function
-  | Bfs -> None
-  | Split -> Some (module Split_m : S)
-  | Delta -> Some (module Delta_m : S)
-  | Anneal seed -> Some (anneal_machine seed)
+  | Bfs -> Bfs.machine
+  | Split -> (module Flat (Split_m) : Bfs.S)
+  | Delta -> (module Flat (Delta_m) : Bfs.S)
+  | Anneal seed ->
+      let module M = (val anneal_machine seed) in
+      (module Flat (M) : Bfs.S)
 
-(* ------------------------------------------------------------- driver *)
-
-let make_ctx options (target : Bfs.Target.t) =
-  let menu =
-    List.filter
-      (fun f -> not (Formats.equal f Formats.double))
-      options.Bfs.formats
-    |> List.sort_uniq Formats.compare_cost
-  in
-  let entry = match List.rev menu with f :: _ -> f | [] -> Formats.single in
-  let menu = if menu = [] then [ Formats.single ] else menu in
-  let base = options.Bfs.base in
-  let universe =
-    Array.to_list (Static.candidates target.Bfs.Target.program)
-    |> List.filter (fun info -> Config.effective base info = Config.Double)
-  in
-  let counts = target.Bfs.Target.profile () in
-  { target; options; counts; universe; menu; entry }
-
-let run_machine (module M : S) ?(options = Bfs.default_options)
-    (target : Bfs.Target.t) =
-  let ctx = make_ctx options target in
-  let log = ref [] in
-  let say fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
-  let says lines = List.iter (fun s -> log := s :: !log) lines in
-  let tested = ref 0 in
-  let snapshots = ref 0 in
-  let interrupted = ref false in
-  (* evaluation containment and pool staffing mirror Bfs exactly: a
-     caller-supplied pool is reused and left running, [workers > 1]
-     without one staffs a transient pool, and only [Bfs.Aborted] escapes *)
-  let transient_pool =
-    match (options.Bfs.pool, options.Bfs.workers) with
-    | Some _, _ | None, 1 -> None
-    | None, w when w <= 1 -> None
-    | None, w ->
-        Some (Pool.create ~options:{ Pool.default_options with workers = w } ())
-  in
-  let pool =
-    match options.Bfs.pool with Some p -> Some p | None -> transient_pool
-  in
-  let drain_pool () =
-    match pool with
-    | None -> ()
-    | Some p -> List.iter (fun e -> say "POOL %s" e) (Pool.drain_events p)
-  in
-  let eval_verdict cfg =
-    match target.Bfs.Target.eval cfg with
-    | true -> Verdict.Pass
-    | false -> Verdict.Fail_verify
-    | exception Bfs.Aborted -> raise Bfs.Aborted
-    | exception e -> Verdict.classify_exn e
-  in
-  let eval_wave cfgs =
-    tested := !tested + List.length cfgs;
-    match (cfgs, pool) with
-    | _, None -> List.map eval_verdict cfgs
-    | _, Some p -> Pool.run p (List.map (fun cfg () -> eval_verdict cfg) cfgs)
-  in
-  let contained_eval cfg =
-    match eval_wave [ cfg ] with [ v ] -> v = Verdict.Pass | _ -> false
-  in
-  let save_snapshot state =
-    match options.Bfs.checkpoint with
-    | None -> ()
-    | Some ck ->
-        Checkpoint.save ~path:ck.Bfs.path
-          {
-            Checkpoint.key = Checkpoint.program_key target.Bfs.Target.program;
-            tested = !tested;
-            next_seq = 0;
-            queue = [];
-            passing =
-              List.map
-                (fun (i, fl) -> Checkpoint.flagged_id (Static.Insn i, fl))
-                (by_addr (M.flagged ctx state));
-            counters = ck.Bfs.save_counters ();
-            log = List.rev !log;
-            strategy = M.name;
-          };
-        incr snapshots
-  in
-  let resume =
-    match options.Bfs.checkpoint with
-    | Some ck when ck.Bfs.resume -> (
-        match Checkpoint.load ~path:ck.Bfs.path with
-        | Error msg ->
-            say "CHECKPOINT not resumed: %s" msg;
-            None
-        | Ok snap
-          when snap.Checkpoint.key
-               <> Checkpoint.program_key target.Bfs.Target.program ->
-            say "CHECKPOINT not resumed: written by a different program (key %s)"
-              snap.Checkpoint.key;
-            None
-        | Ok snap when snap.Checkpoint.strategy <> M.name ->
-            say "CHECKPOINT not resumed: written by strategy %s"
-              snap.Checkpoint.strategy;
-            None
-        | Ok snap -> (
-            let resolved =
-              List.fold_left
-                (fun acc id ->
-                  match acc with
-                  | Error _ as e -> e
-                  | Ok fs -> (
-                      match
-                        Checkpoint.resolve_flagged target.Bfs.Target.program id
-                      with
-                      | Ok (node, fl) -> (
-                          match Static.node_insns node with
-                          | [ info ] -> Ok ((info, fl) :: fs)
-                          | _ ->
-                              Error
-                                (Printf.sprintf
-                                   "checkpoint id %S is not one instruction" id))
-                      | Error _ as e -> e))
-                (Ok []) snap.Checkpoint.passing
-              |> Result.map List.rev
-            in
-            match resolved with
-            | Error msg ->
-                say "CHECKPOINT not resumed: %s" msg;
-                None
-            | Ok fs ->
-                log := List.rev snap.Checkpoint.log;
-                tested := snap.Checkpoint.tested;
-                ck.Bfs.restore_counters snap.Checkpoint.counters;
-                say "RESUME from %s checkpoint: %d tested, %d accepted" M.name
-                  snap.Checkpoint.tested (List.length fs);
-                Some fs))
-    | _ -> None
-  in
-  let st0, lines0 = M.init ctx ~resume in
-  says lines0;
-  let state = ref st0 in
-  let run () =
-    let wave = ref 0 in
-    let every =
-      match options.Bfs.checkpoint with
-      | Some ck -> max 1 ck.Bfs.every
-      | None -> max_int
-    in
-    (* ------------------------------------------------------- wave loop *)
-    let rec loop () =
-      if options.Bfs.stop () then begin
-        save_snapshot !state;
-        interrupted := true;
-        say "STOP requested: composing what was accepted so far"
-      end
-      else begin
-        let cfgs, st = M.propose ctx !state in
-        state := st;
-        match cfgs with
-        | [] -> ()
-        | cfgs ->
-            incr wave;
-            let verdicts = eval_wave cfgs in
-            let st, lines = M.consume ctx !state verdicts in
-            state := st;
-            says lines;
-            drain_pool ();
-            if !wave mod every = 0 then save_snapshot !state;
-            loop ()
-      end
-    in
-    loop ();
-    (* ---------------------------------------------------------- finish *)
-    let fs = ref (by_addr (M.flagged ctx !state)) in
-    let final = ref (config_of_flagged ctx !fs) in
-    let final_pass = ref (contained_eval !final) in
-    say "FINAL union of %d passing instructions: %s" (List.length !fs)
-      (if !final_pass then "pass" else "fail");
-    if (not !final_pass) && options.Bfs.second_phase then begin
-      (* greedy composition, heaviest first, exactly like Bfs's second
-         phase but over instructions *)
-      let units =
-        List.sort
-          (fun (a, _) (b, _) ->
-            match compare (count ctx b) (count ctx a) with
-            | 0 -> compare (addr a) (addr b)
-            | c -> c)
-          !fs
-      in
-      let acc = ref [] in
-      List.iter
-        (fun (i, fl) ->
-          let trial = (i, fl) :: !acc in
-          if contained_eval (config_of_flagged ctx trial) then begin
-            acc := trial;
-            say "COMPOSE keep 0x%06x" (addr i)
-          end
-          else say "COMPOSE drop 0x%06x" (addr i))
-        units;
-      fs := by_addr !acc;
-      final := config_of_flagged ctx !fs;
-      final_pass := true
-    end;
-    if !final_pass && not !interrupted then begin
-      (* greedy top-up: every candidate the strategy left double gets one
-         chance on top of the final set, heaviest first — each strategy
-         ends maximal over the same move set, which is what makes the
-         bake-off's "no worse than BFS" assertion meaningful *)
-      let missing = by_count_desc ctx (diff ctx.universe (List.map fst !fs)) in
-      List.iter
-        (fun i ->
-          let trial = (i, entry_flag ctx) :: !fs in
-          if contained_eval (config_of_flagged ctx trial) then begin
-            fs := by_addr trial;
-            say "TOPUP keep 0x%06x" (addr i)
-          end)
-        missing;
-      final := config_of_flagged ctx !fs;
-      (* per-instruction lattice descent, cheapest format first, keeping
-         the whole configuration passing after every accepted step *)
-      let lower =
-        List.filter (fun f -> Formats.compare_cost f ctx.entry < 0) ctx.menu
-      in
-      if lower <> [] then
-        List.iter
-          (fun (i, _) ->
-            let rec try_fmts = function
-              | [] -> ()
-              | f :: rest ->
-                  let trial =
-                    List.map
-                      (fun (j, fl) ->
-                        if addr j = addr i then (j, Config.of_format f)
-                        else (j, fl))
-                      !fs
-                  in
-                  if contained_eval (config_of_flagged ctx trial) then begin
-                    fs := trial;
-                    say "LATTICE 0x%06x descends to %s" (addr i)
-                      (Formats.name f)
-                  end
-                  else try_fmts rest
-            in
-            try_fmts lower)
-          !fs;
-      final := config_of_flagged ctx !fs
-    end;
-    save_snapshot !state;
-    let replaced info =
-      match Config.effective !final info with
-      | Config.Single | Config.Fmt _ -> true
-      | Config.Double | Config.Ignore -> false
-    in
-    let n_candidates = List.length ctx.universe in
-    let static_replaced = List.length (List.filter replaced ctx.universe) in
-    let dyn_num, dyn_den =
-      Array.fold_left
-        (fun (num, den) (info : Static.insn_info) ->
-          let c = ctx.counts.(info.Static.addr) in
-          ((if replaced info then num + c else num), den + c))
-        (0, 0)
-        (Static.candidates target.Bfs.Target.program)
-    in
-    drain_pool ();
-    {
-      Bfs.final = !final;
-      final_pass = !final_pass;
-      candidates = n_candidates;
-      tested = !tested;
-      static_replaced;
-      static_pct =
-        Stats.percent (float_of_int static_replaced) (float_of_int n_candidates);
-      dynamic_pct =
-        Stats.percent (float_of_int dyn_num) (float_of_int dyn_den);
-      passing_nodes = List.map (fun (i, _) -> Static.Insn i) !fs;
-      passing_flags = List.map (fun (i, fl) -> (Static.Insn i, fl)) !fs;
-      bits_saved = Config.bits_saved target.Bfs.Target.program !final;
-      log = List.rev !log;
-      supervisor = Option.map Pool.stats pool;
-      snapshots = !snapshots;
-      pruned = 0;
-      interrupted = !interrupted;
-    }
-  in
-  match transient_pool with
-  | None -> run ()
-  | Some p -> Fun.protect ~finally:(fun () -> Pool.shutdown p) run
-
-let run ?(options = Bfs.default_options) token target =
-  match machine token with
-  | None ->
-      (* bfs IS the pre-strategy search: same moves, same journal, same
-         checkpoints, same result, byte-for-byte *)
-      Bfs.search ~options target
-  | Some m -> run_machine m ~options target
+let run ?options token target = Bfs.drive (machine token) ?options target

@@ -286,13 +286,16 @@ let test_bfs_oom_and_stack_overflow_are_crash_verdicts () =
 
 let test_strategies_under_pool () =
   let _, target = Test_harness.synthetic ~n_ops:6 ~poison:[ 2 ] () in
-  let plain = Strategies.greedy_grow target in
+  let plain = Strategy.run Strategy.Split target in
   with_pool ~options:{ Pool.default_options with workers = 2 } (fun p ->
-      let pooled = Strategies.greedy_grow ~pool:p target in
-      checki "same replacements" plain.Strategies.static_replaced
-        pooled.Strategies.static_replaced;
-      checki "same test count" plain.Strategies.tested pooled.Strategies.tested;
-      checki "every test supervised" pooled.Strategies.tested (Pool.stats p).Pool.tasks)
+      let pooled =
+        Strategy.run
+          ~options:{ Bfs.default_options with workers = 2; pool = Some p }
+          Strategy.Split target
+      in
+      checki "same replacements" plain.Bfs.static_replaced pooled.Bfs.static_replaced;
+      checki "same test count" plain.Bfs.tested pooled.Bfs.tested;
+      checki "every test supervised" pooled.Bfs.tested (Pool.stats p).Pool.tasks)
 
 let suite =
   [

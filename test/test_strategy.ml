@@ -1,10 +1,12 @@
-(* Tests for the pluggable search-strategy subsystem: token parsing,
-   bfs-delegation fidelity (Strategy.run Bfs replays the exact evaluation
-   sequence of Bfs.search on fuzzed programs), split/delta/anneal sanity
-   on known-answer synthetics, anneal fixed-seed determinism across the
-   sequential and pool evaluation paths, and strategy-tagged checkpoint
-   compatibility — untagged pre-strategy snapshots load and resume as
-   bfs, tagged snapshots refuse to resume under a different strategy. *)
+(* Tests for the pluggable search-strategy subsystem: token parsing, bfs
+   golden transcripts (narration, evaluation order, counters and
+   checkpoint bytes recorded before bfs ran on the shared campaign
+   driver), split/delta/anneal sanity on known-answer synthetics and NAS
+   kernels, anneal fixed-seed determinism across the sequential and pool
+   evaluation paths, stop + resume for every strategy, one statistics
+   universe, and strategy-tagged checkpoint compatibility — untagged
+   pre-strategy snapshots load and resume as bfs, tagged snapshots refuse
+   to resume under a different strategy. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -77,7 +79,7 @@ let test_tokens () =
   checks "default seed prints bare" "anneal"
     (Strategy.to_string (Strategy.Anneal Strategy.default_seed))
 
-(* --------------------------------------------------- bfs delegation *)
+(* ----------------------------------------------------------- helpers *)
 
 (* wrap both evaluation entry points so every configuration tested is
    recorded (as its digest) in evaluation order *)
@@ -100,25 +102,6 @@ let recording target =
     },
     log )
 
-let prop_bfs_delegation =
-  let gen =
-    QCheck2.Gen.(pair (int_range 1 6) (list_size (int_bound 4) (int_bound 5)))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:25
-       ~name:"Strategy.run Bfs replays Bfs.search's exact eval sequence" gen
-       (fun (n_ops, poison) ->
-         let t1, log1 = recording (synthetic ~n_ops ~poison) in
-         let r1 = Bfs.search t1 in
-         let t2, log2 = recording (synthetic ~n_ops ~poison) in
-         let r2 = Strategy.run Strategy.Bfs t2 in
-         !log1 <> [] && !log1 = !log2
-         && r1.Bfs.tested = r2.Bfs.tested
-         && r1.Bfs.final_pass = r2.Bfs.final_pass
-         && r1.Bfs.log = r2.Bfs.log
-         && Config.digest t1.Bfs.Target.program r1.Bfs.final
-            = Config.digest t2.Bfs.Target.program r2.Bfs.final))
-
 (* -------------------------------------------- the machine strategies *)
 
 let test_machines_find_the_answer () =
@@ -131,6 +114,7 @@ let test_machines_find_the_answer () =
       (* exactly the benign 8 chains * 2 insns survive; the top-up sweep
          makes every strategy maximal over the same move set *)
       checki (name ^ " replaced") 16 r.Bfs.static_replaced;
+      checki (name ^ " candidates") 20 r.Bfs.candidates;
       checkb (name ^ " saves at least bfs bits") true
         (r.Bfs.bits_saved >= bfs.Bfs.bits_saved))
     [ Strategy.Split; Strategy.Delta; Strategy.Anneal Strategy.default_seed ]
@@ -143,6 +127,61 @@ let test_machines_all_poisoned () =
       checkb (name ^ " still passes") true r.Bfs.final_pass;
       checkb (name ^ " keeps few") true (r.Bfs.static_replaced <= 4))
     [ Strategy.Split; Strategy.Delta; Strategy.Anneal Strategy.default_seed ]
+
+let test_delta_all_pass () =
+  let r = Strategy.run Strategy.Delta (synthetic ~n_ops:6 ~poison:[]) in
+  checkb "passes" true r.Bfs.final_pass;
+  checki "everything" 12 r.Bfs.static_replaced;
+  (* the everything-single probe passes; the driver then evaluates the union *)
+  checki "probe + union" 2 r.Bfs.tested
+
+let test_delta_honours_hints () =
+  let k = Nas_ep.make Kernel.W in
+  let r =
+    Strategy.run
+      ~options:{ Bfs.default_options with base = k.Kernel.hints }
+      Strategy.Delta (Kernel.target k)
+  in
+  checkb "passes" true r.Bfs.final_pass;
+  (* the ignored RNG instructions are not candidates *)
+  checki "all candidates" 58 (Array.length (Static.candidates k.Kernel.program));
+  checki "hinted universe" 26 r.Bfs.candidates
+
+let test_delta_passes_mg_where_bfs_fails () =
+  (* delta trades evaluations for composability: on mg.W the bfs union of
+     individually-passing structures fails, delta's final passes *)
+  let t = Kernel.target (Nas_mg.make Kernel.W) in
+  let bfs = Bfs.search t in
+  let dd = Strategy.run Strategy.Delta t in
+  checkb "bfs union fails here" false bfs.Bfs.final_pass;
+  checkb "delta passes" true dd.Bfs.final_pass;
+  checkb "delta found replacements" true (dd.Bfs.static_replaced > 0)
+
+let all_tokens =
+  [ Strategy.Bfs; Strategy.Split; Strategy.Delta; Strategy.Anneal Strategy.default_seed ]
+
+let test_one_statistics_universe () =
+  (* a base that pre-flags one benign instruction single: it is still a
+     candidate, and replaced in every final *)
+  let target = synthetic ~n_ops:6 ~poison:[ 4 ] in
+  let first = (Static.candidates target.Bfs.Target.program).(0) in
+  let base = Config.set_insn Config.empty first.Static.addr Config.Single in
+  let runs =
+    List.map
+      (fun tok ->
+        (Strategy.to_string tok, Strategy.run ~options:{ Bfs.default_options with base } tok target))
+      all_tokens
+  in
+  let _, bfs = List.hd runs in
+  List.iter
+    (fun (name, r) ->
+      checkb (name ^ " passes") true r.Bfs.final_pass;
+      checki (name ^ " candidates") 12 r.Bfs.candidates;
+      checki (name ^ " static replaced") 10 r.Bfs.static_replaced;
+      checki (name ^ " bits saved") 320 r.Bfs.bits_saved;
+      checkb (name ^ " static %") true (r.Bfs.static_pct = bfs.Bfs.static_pct);
+      checkb (name ^ " dynamic %") true (r.Bfs.dynamic_pct = bfs.Bfs.dynamic_pct))
+    runs
 
 let test_anneal_determinism () =
   let t = synthetic ~n_ops:12 ~poison:[ 2; 9 ] in
@@ -400,6 +439,56 @@ let bfs_campaigns =
           (synthetic ~n_ops:10 ~poison:[ 3; 7 ]) );
   ]
 
+(* A stop request polled at a wave boundary ends the campaign as
+   interrupted, with exactly one final snapshot on top of the per-wave
+   ones; a resume from it finishes the search. With one worker a bfs, split
+   or anneal wave is one evaluation, while delta's second wave carries both
+   complements of its first partition — so three evaluations are three
+   waves, or two for delta. *)
+let test_stop_then_resume () =
+  List.iter
+    (fun (tok, waves) ->
+      with_temp (fun path ->
+          let name = Strategy.to_string tok in
+          let target = synthetic ~n_ops:12 ~poison:[ 2; 9 ] in
+          let p = target.Bfs.Target.program in
+          let n = Atomic.make 0 in
+          let counted =
+            {
+              target with
+              Bfs.Target.eval =
+                (fun cfg ->
+                  Atomic.incr n;
+                  target.Bfs.Target.eval cfg);
+            }
+          in
+          let options ~resume stop =
+            { Bfs.default_options with checkpoint = Some (Bfs.checkpoint ~resume path); stop }
+          in
+          let stopped =
+            Strategy.run ~options:(options ~resume:false (fun () -> Atomic.get n >= 3)) tok counted
+          in
+          checkb (name ^ " interrupted") true stopped.Bfs.interrupted;
+          checki (name ^ " snapshots = waves + 1") (waves + 1) stopped.Bfs.snapshots;
+          Atomic.set n 0;
+          let resumed = Strategy.run ~options:(options ~resume:true (fun () -> false)) tok counted in
+          checkb (name ^ " resumed run passes") true resumed.Bfs.final_pass;
+          checkb (name ^ " resumed from the snapshot") true
+            (List.exists (fun l -> contains l "RESUME from") resumed.Bfs.log);
+          if tok = Strategy.Bfs then begin
+            let fresh = Bfs.search target in
+            checks "resumed final = uninterrupted final"
+              (Config.print p fresh.Bfs.final)
+              (Config.print p resumed.Bfs.final);
+            checkb "resume evaluates less than a fresh run" true (Atomic.get n < fresh.Bfs.tested)
+          end))
+    [
+      (Strategy.Bfs, 3);
+      (Strategy.Split, 3);
+      (Strategy.Delta, 2);
+      (Strategy.Anneal Strategy.default_seed, 3);
+    ]
+
 let test_bfs_goldens () =
   List.iter
     (fun (name, campaign) ->
@@ -499,7 +588,6 @@ let test_bfs_resumes_untagged_snapshot_via_strategy_run () =
 let suite =
   [
     ("strategy: token parse/print", `Quick, test_tokens);
-    prop_bfs_delegation;
     ("strategy: split/delta/anneal find the known answer", `Quick, test_machines_find_the_answer);
     ("strategy: machines survive an all-poisoned kernel", `Quick, test_machines_all_poisoned);
     ("strategy: anneal seed is deterministic across eval paths", `Quick, test_anneal_determinism);
@@ -508,4 +596,9 @@ let suite =
     ("strategy: tagged snapshot refuses other strategies", `Quick, test_tagged_snapshot_refuses_other_strategy);
     ("strategy: bfs resumes untagged snapshots", `Quick, test_bfs_resumes_untagged_snapshot_via_strategy_run);
     ("strategy: bfs golden transcripts", `Quick, test_bfs_goldens);
+    ("strategy: stop, flush once, resume", `Quick, test_stop_then_resume);
+    ("strategy: one statistics universe", `Quick, test_one_statistics_universe);
+    ("strategy: delta, all pass", `Quick, test_delta_all_pass);
+    ("strategy: delta honours ep.W hints", `Quick, test_delta_honours_hints);
+    ("strategy: delta vs bfs on mg.W", `Quick, test_delta_passes_mg_where_bfs_fails);
   ]
