@@ -202,7 +202,9 @@ val default_options : options
 type result = {
   final : Config.t;  (** union of every individually-passing replacement *)
   final_pass : bool;
-  candidates : int;  (** size of the candidate universe *)
+  candidates : int;
+      (** size of the candidate universe: every candidate not [Ignore]d by
+          [base], pre-flagged ones included, whichever strategy ran *)
   tested : int;  (** configurations evaluated, including the final one(s) *)
   static_replaced : int;  (** candidates effectively single in [final] *)
   static_pct : float;
