@@ -18,6 +18,7 @@ let () =
       ("harness", Test_harness.suite);
       ("pool", Test_pool.suite);
       ("checkpoint", Test_checkpoint.suite);
+      ("strategies", Test_strategy.strategies_suite);
       ("strategy", Test_strategy.suite);
       ("kernels", Test_kernels.suite);
       ("superlu", Test_superlu.suite);

@@ -157,6 +157,21 @@ let test_delta_passes_mg_where_bfs_fails () =
   checkb "delta passes" true dd.Bfs.final_pass;
   checkb "delta found replacements" true (dd.Bfs.static_replaced > 0)
 
+(* the delta-debugging tests of the retired legacy strategies suite, kept
+   under their names and run on Strategy.Delta over the shared driver *)
+let test_delta_debug_finds_answer () =
+  let r = Strategy.run Strategy.Delta (synthetic ~n_ops:10 ~poison:[ 3; 7 ]) in
+  checkb "passes" true r.Bfs.final_pass;
+  (* exactly the benign 8 chains * 2 insns are single *)
+  checki "replaced" 16 r.Bfs.static_replaced;
+  checki "candidates" 20 r.Bfs.candidates
+
+let test_delta_debug_none_pass () =
+  let r = Strategy.run Strategy.Delta (synthetic ~n_ops:4 ~poison:[ 0; 1; 2; 3 ]) in
+  checkb "passes" true r.Bfs.final_pass;
+  (* only the exact constants could survive; the adds all fail *)
+  checkb "few replaced" true (r.Bfs.static_replaced <= 4)
+
 let all_tokens =
   [ Strategy.Bfs; Strategy.Split; Strategy.Delta; Strategy.Anneal Strategy.default_seed ]
 
@@ -601,4 +616,10 @@ let suite =
     ("strategy: delta, all pass", `Quick, test_delta_all_pass);
     ("strategy: delta honours ep.W hints", `Quick, test_delta_honours_hints);
     ("strategy: delta vs bfs on mg.W", `Quick, test_delta_passes_mg_where_bfs_fails);
+  ]
+
+let strategies_suite =
+  [
+    ("delta_debug finds the answer", `Quick, test_delta_debug_finds_answer);
+    ("delta_debug: none pass", `Quick, test_delta_debug_none_pass);
   ]
