@@ -1,7 +1,8 @@
 (* Crash-safety of the daemon's durable state: the on-disk result store
    (replay, truncation/garbage tolerance, compaction), the job-table WAL
    (property: replay reconstructs the exact job table), the state-dir
-   lockfile, scheduler recovery across an in-process "daemon death", and
+   lockfile, byte goldens of the store log, WAL and result file, scheduler
+   recovery across an in-process "daemon death", and
    the real thing — the CLI daemon SIGKILLed mid-campaign and restarted on
    the same state dir, asserting a byte-identical final configuration with
    strictly fewer evaluations on the second leg. *)
@@ -405,6 +406,130 @@ let test_lockfile () =
       | Ok lock -> Lockfile.release lock
       | Error why -> Alcotest.failf "stale lock not reclaimed: %s" why)
 
+(* ------------------------------------------------------------ byte goldens *)
+
+(* The exact bytes the durable writers put on disk, pinned from the writers
+   as they stood before they shared one log layer. A state dir written by
+   an older daemon must stay loadable and a newer one must write the same
+   files, so a change here is a format change, never a refactor. *)
+
+(* One line per element, each newline-terminated. *)
+let lines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls)
+
+(* All six verdict kinds, under keys carrying every reserved character the
+   escaper rewrites in a store key: space, '%', '|' and ':'. *)
+let golden_store_entries =
+  [
+    ("p q/steps=default/d1", Verdict.Pass);
+    ("p%q/steps=default/d2", Verdict.Fail_verify);
+    ("p|q/steps=100/d3", Verdict.Trapped (0x1f, "injected fault"));
+    ("p:q/steps=100/d4", Verdict.Step_timeout);
+    ("k5", Verdict.Crashed "boom: 50% | done");
+    ("k6", Verdict.Pruned "shadow said so");
+  ]
+
+let golden_store_log =
+  lines
+    [
+      "# craft-store v1";
+      "p%20q/steps=default/d1 pass 1";
+      "p%25q/steps=default/d2 fail 2";
+      "p%7cq/steps=100/d3 trap:0x00001f:injected%20fault 3";
+      "p%3aq/steps=100/d4 timeout 4";
+      "k5 crash:boom%3a%2050%25%20%7c%20done 5";
+      "k6 pruned:shadow%20said%20so 6";
+    ]
+
+let golden_store_compacted =
+  lines
+    [
+      "# craft-store v1";
+      "p%20q/steps=default/d1 fail 1";
+      "p%25q/steps=default/d2 fail 2";
+      "p%7cq/steps=100/d3 trap:0x00001f:injected%20fault 3";
+      "p%3aq/steps=100/d4 timeout 4";
+      "k5 pass 5";
+      "k6 pruned:shadow%20said%20so 6";
+    ]
+
+let test_store_log_bytes () =
+  let dir = temp_dir "craft_golden" in
+  let path = Filename.concat dir "store.log" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let store = Store.create ~path ~fsync_every:1 () in
+      List.iter
+        (fun (key, v) -> ignore (Store.find_or_compute store ~key (fun () -> v)))
+        golden_store_entries;
+      Store.close store;
+      checks "store.log bytes" golden_store_log (read_file path);
+      (* a later life re-decides two keys (last record wins) and dies
+         mid-append; compaction keeps first-seen key order, renumbers the
+         sequence column and drops the torn tail *)
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "p%20q/steps=default/d1 fail 7\nk5 pass 8\nhalf-a-rec";
+      close_out oc;
+      (match Store.compact ~path with
+      | Ok (kept, dropped) ->
+          checki "kept" 6 kept;
+          checki "dropped" 2 dropped
+      | Error why -> Alcotest.fail why);
+      checks "compacted store.log bytes" golden_store_compacted (read_file path))
+
+let golden_wal =
+  lines
+    [
+      "# craft-wal v1";
+      "submit j0001 cg W 0 0 - - -";
+      "submit j0002 my%20bench A 1 -3 120000 bf16,single anneal%3a7";
+      "submit j0003 cg W 0 5 - - -";
+      "submit j0004 cg W 0 0 - - split";
+      "outcome j0001 done tested%2045,%20final%20pass";
+      "outcome j0002 cancelled ";
+      "outcome j0003 failed:no%20such%3a%20thing failed%20run";
+      "outcome j0004 quarantined:driver%20died%202%20time(s),%20last%3a%2050%25%20%7c%20gone ";
+    ]
+
+let test_wal_bytes () =
+  let dir = temp_dir "craft_golden" in
+  let path = Filename.concat dir "jobs.wal" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let spec =
+        { Wire.bench = "cg"; cls = "W"; shadow = false; priority = 0; eval_steps = None; formats = ""; strategy = "" }
+      in
+      let wal = Wal.create ~path in
+      List.iter (Wal.append wal)
+        [
+          Wal.Submitted { id = "j0001"; spec };
+          Wal.Submitted
+            {
+              id = "j0002";
+              spec =
+                {
+                  Wire.bench = "my bench";
+                  cls = "A";
+                  shadow = true;
+                  priority = -3;
+                  eval_steps = Some 120000;
+                  formats = "bf16,single";
+                  strategy = "anneal:7";
+                };
+            };
+          Wal.Submitted { id = "j0003"; spec = { spec with priority = 5 } };
+          Wal.Submitted { id = "j0004"; spec = { spec with strategy = "split" } };
+          Wal.Outcome { id = "j0001"; state = Wire.Done; summary = "tested 45, final pass" };
+          Wal.Outcome { id = "j0002"; state = Wire.Cancelled; summary = "" };
+          Wal.Outcome
+            { id = "j0003"; state = Wire.Failed "no such: thing"; summary = "failed run" };
+          Wal.Outcome
+            {
+              id = "j0004";
+              state = Wire.Quarantined "driver died 2 time(s), last: 50% | gone";
+              summary = "";
+            };
+        ];
+      Wal.close wal;
+      checks "jobs.wal bytes" golden_wal (read_file path))
+
 (* -------------------------------------------- scheduler: in-process death *)
 
 (* The same synthetic bundle the server tests use. *)
@@ -518,6 +643,35 @@ let test_events_cursor_resets_after_restart () =
           checkb "terminal and drained" true final;
           checkb "recovery event present" true
             (List.exists (fun l -> contains l "RECOVERED") lines)))
+
+(* The per-job [result] file a finished job leaves in its state dir: the
+   final configuration text, byte for byte. *)
+let golden_result =
+  lines
+    [
+      "  MODULE: syn";
+      "    FUNC01: main()";
+      "      BBLK01";
+      "s       INSN01: 0x000000 \"movsd.imm $0x1p-1 -> f0\"";
+      "s       INSN02: 0x000001 \"addsd f0, f0 -> f1\"";
+      "        INSN03: 0x000003 \"movsd.imm $0x1.999999999999ap-4 -> f2\"";
+      "        INSN04: 0x000004 \"addsd f2, f2 -> f3\"";
+      "s       INSN05: 0x000006 \"movsd.imm $0x1p-1 -> f4\"";
+      "s       INSN06: 0x000007 \"addsd f4, f4 -> f5\"";
+      "s       INSN07: 0x000009 \"movsd.imm $0x1p-1 -> f6\"";
+      "s       INSN08: 0x00000a \"addsd f6, f6 -> f7\"";
+    ]
+
+let test_result_file_bytes () =
+  let dir = temp_dir "craft_golden" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let k = synthetic_kernel ~n_ops:4 ~poison:[ 1 ] () in
+      with_stack ~state_dir:(Some dir) ~resolve:(fun _ -> Ok k) (fun sched ->
+          let id = Result.get_ok (Scheduler.submit sched default_spec) in
+          let _, text, _ = wait_done sched id in
+          let bytes = read_file (Filename.concat (Filename.concat dir id) "result") in
+          checks "result file holds the final config" text bytes;
+          checks "result file bytes" golden_result bytes))
 
 (* ------------------------------------------------- daemon kill -9 (chaos) *)
 
@@ -703,6 +857,10 @@ let suite =
     Alcotest.test_case "journal: --verify classifies truncation vs torn" `Quick
       test_journal_verify;
     Alcotest.test_case "lockfile: acquire/release/stale-reclaim" `Quick test_lockfile;
+    Alcotest.test_case "golden: store.log bytes, before and after compaction" `Quick
+      test_store_log_bytes;
+    Alcotest.test_case "golden: jobs.wal bytes" `Quick test_wal_bytes;
+    Alcotest.test_case "golden: scheduler result file bytes" `Quick test_result_file_bytes;
     Alcotest.test_case "scheduler: WAL recovery re-lists and re-runs" `Quick
       test_scheduler_recovers_job_table;
     Alcotest.test_case "scheduler: stale event cursors restart the stream" `Quick
