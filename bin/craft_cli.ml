@@ -570,6 +570,17 @@ let snippet_cmd =
     (Cmd.info "snippet" ~doc:"Show the single-precision replacement snippet (paper Fig. 6)")
     Term.(const run $ const ())
 
+(* The record count of a journal or store log, then its per-verdict counts
+   in the canonical label order. *)
+let print_records path records =
+  Format.printf "%s: %d record(s)@." path (List.length records);
+  List.iter
+    (fun label ->
+      match List.filter (fun (_, v) -> Verdict.verdict_label v = label) records with
+      | [] -> ()
+      | hits -> Format.printf "  %-8s %d@." label (List.length hits))
+    [ "pass"; "fail"; "trap"; "timeout"; "crash"; "pruned" ]
+
 let journal_cmd =
   let path_arg =
     Arg.(
@@ -615,19 +626,7 @@ let journal_cmd =
     end
     else begin
       let records = Journal.scan ~path in
-      let tally = Hashtbl.create 8 in
-      List.iter
-        (fun (_, v) ->
-          let l = Verdict.verdict_label v in
-          Hashtbl.replace tally l (1 + Option.value ~default:0 (Hashtbl.find_opt tally l)))
-        records;
-      Format.printf "%s: %d record(s)@." path (List.length records);
-      List.iter
-        (fun label ->
-          match Hashtbl.find_opt tally label with
-          | Some n -> Format.printf "  %-8s %d@." label n
-          | None -> ())
-        [ "pass"; "fail"; "trap"; "timeout"; "crash"; "pruned" ];
+      print_records path records;
       match List.rev records with
       | (digest, v) :: _ ->
           Format.printf "last record: %s (%s)@." digest (Verdict.verdict_label v)
@@ -668,16 +667,7 @@ let store_cmd =
           exit 1
     end
     else begin
-      let records = Store.scan ~path in
-      let tally = Hashtbl.create 8 in
-      List.iter
-        (fun (_, v) ->
-          let l = Verdict.verdict_label v in
-          Hashtbl.replace tally l (1 + Option.value ~default:0 (Hashtbl.find_opt tally l)))
-        records;
-      Format.printf "%s: %d record(s)@." path (List.length records);
-      List.iter (fun (label, n) -> Format.printf "  %-8s %d@." label n)
-        (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tally [] |> List.sort compare)
+      print_records path (Store.scan ~path)
     end
   in
   Cmd.v

@@ -121,64 +121,40 @@ type snapshot = {
   strategy : string;
 }
 
+(* write-temp, fsync, rename: the visible file is always either the
+   previous complete snapshot or this complete one, never a prefix *)
 let save ~path snap =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Printf.fprintf oc "%s %s\n" header snap.key;
-  Printf.fprintf oc "tested %d\n" snap.tested;
-  Printf.fprintf oc "seq %d\n" snap.next_seq;
-  (* The strategy record is written only for non-default strategies: bfs
-     checkpoints stay byte-identical to every pre-strategy snapshot. *)
-  if snap.strategy <> "" && snap.strategy <> "bfs" then
-    Printf.fprintf oc "strategy %s\n" (Verdict.escape snap.strategy);
-  List.iter
-    (fun (k, v) -> Printf.fprintf oc "counter %s %d\n" (Verdict.escape k) v)
-    snap.counters;
-  Printf.fprintf oc "passing%s\n"
-    (String.concat "" (List.map (fun id -> " " ^ id) snap.passing));
-  List.iter
-    (fun e ->
-      Printf.fprintf oc "item %d %d%s\n" e.seq e.weight
-        (String.concat "" (List.map (fun id -> " " ^ id) e.nodes)))
-    snap.queue;
-  List.iter (fun line -> Printf.fprintf oc "log %s\n" (Verdict.escape line)) snap.log;
-  Printf.fprintf oc "%s\n" trailer;
-  (* write-temp, flush, fsync, then rename: the visible file is always
-     either the previous complete snapshot or this complete one, never a
-     prefix — and the fsync before the rename means even a power loss
-     cannot leave the final name pointing at unwritten data *)
-  flush oc;
-  (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-  close_out oc;
-  Sys.rename tmp path;
-  (* best-effort fsync of the containing directory so the rename itself is
-     durable; not all filesystems allow opening a directory for this *)
-  try
-    let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close dir with Unix.Unix_error _ -> ())
-      (fun () -> Unix.fsync dir)
-  with Unix.Unix_error _ -> ()
+  Textlog.write_atomic path (fun oc ->
+      Printf.fprintf oc "%s %s\n" header snap.key;
+      Printf.fprintf oc "tested %d\n" snap.tested;
+      Printf.fprintf oc "seq %d\n" snap.next_seq;
+      (* The strategy record is written only for non-default strategies: bfs
+         checkpoints stay byte-identical to every pre-strategy snapshot. *)
+      if snap.strategy <> "" && snap.strategy <> "bfs" then
+        Printf.fprintf oc "strategy %s\n" (Verdict.escape snap.strategy);
+      List.iter
+        (fun (k, v) -> Printf.fprintf oc "counter %s %d\n" (Verdict.escape k) v)
+        snap.counters;
+      Printf.fprintf oc "passing%s\n"
+        (String.concat "" (List.map (fun id -> " " ^ id) snap.passing));
+      List.iter
+        (fun e ->
+          Printf.fprintf oc "item %d %d%s\n" e.seq e.weight
+            (String.concat "" (List.map (fun id -> " " ^ id) e.nodes)))
+        snap.queue;
+      List.iter (fun line -> Printf.fprintf oc "log %s\n" (Verdict.escape line)) snap.log;
+      Printf.fprintf oc "%s\n" trailer)
 
 let load ~path =
   if not (Sys.file_exists path) then Error "no checkpoint file"
   else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let lines = List.rev !lines in
     let fields line = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
-    match lines with
+    match Textlog.lines path with
     | first :: rest
       when String.length first > String.length header
-           && String.sub first 0 (String.length header) = header -> (
-        let key = String.trim (String.sub first (String.length header)
-                                 (String.length first - String.length header)) in
+           && String.starts_with ~prefix:header first -> (
+        let n = String.length header in
+        let key = String.trim (String.sub first n (String.length first - n)) in
         let complete =
           match List.rev rest with
           | last :: _ -> String.trim last = trailer

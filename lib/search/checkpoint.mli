@@ -8,10 +8,10 @@
     it re-tests at most the wave that was in flight when the campaign died
     (and those re-tests are usually journal hits anyway).
 
-    Writes are atomic: the snapshot is written to [<path>.tmp], flushed,
-    and [rename(2)]d over [path]. The visible file is always either the
-    previous complete snapshot or the new complete one; an interrupted
-    write never corrupts resume. A trailing [end] marker additionally
+    Writes are atomic ({!Textlog.write_atomic}): the snapshot is written
+    to [<path>.tmp], fsynced, and [rename(2)]d over [path]. The visible
+    file is always either the previous complete snapshot or the new
+    complete one; an interrupted write never corrupts resume. A trailing [end] marker additionally
     rejects a truncated file copied by other means.
 
     Format (text, one record per line):
@@ -55,7 +55,7 @@ type snapshot = {
 }
 
 val save : path:string -> snapshot -> unit
-(** Atomic write-temp-then-rename. *)
+(** Atomic write-temp-fsync-rename, then a directory fsync. *)
 
 val load : path:string -> (snapshot, string) result
 (** Tolerant read: a missing file, a bad header, a truncated body or any

@@ -1,15 +1,10 @@
 let header = "# craft-journal v1"
 
-type sync_policy =
-  | Flush_only  (* per-record flush; fsync left to the OS (and {!sync}) *)
-  | Fsync_each  (* per-record flush + fsync: power loss can only truncate *)
-
 type t = {
   path : string;
   program : Ir.program;
   memo : (string, Harness.verdict) Hashtbl.t;
-  oc : out_channel;
-  policy : sync_policy;
+  log : Textlog.t;
   mutable seq : int;  (* tests-so-far column of the next record *)
   mutable replayed : int;
   mutable hits : int;
@@ -17,44 +12,21 @@ type t = {
   lock : Mutex.t;
 }
 
-(* One record per line; anything that does not parse — malformed, or the
-   truncated half-record a crash leaves at the end of the file — is
-   silently dropped. *)
+(* One record per line: [<digest16> <verdict> <seq> | <summary>]. *)
 let parse_line line =
-  let line = String.trim line in
-  if line = "" || (String.length line > 0 && line.[0] = '#') then None
-  else begin
-    let left =
-      match String.index_opt line '|' with
-      | Some i -> String.trim (String.sub line 0 i)
-      | None -> line
-    in
-    match String.split_on_char ' ' left |> List.filter (fun s -> s <> "") with
-    | [ digest; verdict; seq ] when String.length digest = 16 -> (
-        match (Harness.verdict_of_string verdict, int_of_string_opt seq) with
-        | Some v, Some _ -> Some (digest, v)
-        | _ -> None)
-    | _ -> None
-  end
+  let left =
+    match String.index_opt line '|' with
+    | Some i -> String.trim (String.sub line 0 i)
+    | None -> line
+  in
+  match String.split_on_char ' ' left |> List.filter (fun s -> s <> "") with
+  | [ digest; verdict; seq ] when String.length digest = 16 -> (
+      match (Harness.verdict_of_string verdict, int_of_string_opt seq) with
+      | Some v, Some _ -> Some (digest, v)
+      | _ -> None)
+  | _ -> None
 
-let read_records path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let records = ref [] in
-    (try
-       while true do
-         match parse_line (input_line ic) with
-         | Some r -> records := r :: !records
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !records
-  end
-
-let load ~path (_ : Ir.program) = read_records path
-let scan ~path = read_records path
+let scan ~path = (Textlog.scan parse_line path).records
 
 (* ----------------------------------------------------------- verification *)
 
@@ -71,68 +43,40 @@ type verify_report = {
 let verify ~path =
   if not (Sys.file_exists path) then Error (path ^ ": no such journal")
   else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
+    let { Textlog.records; bad; trailing_bad } = Textlog.scan parse_line path in
     let by_digest = Hashtbl.create 256 in
     let by_verdict = Hashtbl.create 8 in
     let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
-    let records = ref 0 and bad = ref 0 and trailing = ref 0 in
     List.iter
-      (fun line ->
-        let trimmed = String.trim line in
-        if trimmed = "" || trimmed.[0] = '#' then ()
-        else
-          match parse_line line with
-          | Some (digest, v) ->
-              incr records;
-              bump by_digest digest;
-              bump by_verdict (Harness.verdict_label v);
-              trailing := 0
-          | None ->
-              incr bad;
-              incr trailing)
-      (List.rev !lines);
+      (fun (digest, v) ->
+        bump by_digest digest;
+        bump by_verdict (Harness.verdict_label v))
+      records;
     let sorted tbl = Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [] |> List.sort compare in
     Ok
       {
-        records = !records;
+        records = List.length records;
         distinct = Hashtbl.length by_digest;
         duplicates = List.filter (fun (_, n) -> n > 1) (sorted by_digest);
         verdicts = sorted by_verdict;
-        bad = !bad;
-        trailing_bad = !trailing;
+        bad;
+        trailing_bad;
         (* a bad line with good records after it cannot be crash truncation:
            something tore (or scribbled on) the middle of the file *)
-        torn = !bad > !trailing;
+        torn = bad > trailing_bad;
       }
   end
 
-let create ?(resume = false) ?(sync = Flush_only) ~path program =
-  let records = if resume then read_records path else [] in
+let create ?(resume = false) ~path program =
+  let records = if resume then scan ~path else [] in
   let memo = Hashtbl.create 256 in
   List.iter (fun (d, v) -> if not (Hashtbl.mem memo d) then Hashtbl.add memo d v) records;
-  let fresh_file = (not resume) || not (Sys.file_exists path) in
-  let flags =
-    if resume then [ Open_wronly; Open_append; Open_creat ]
-    else [ Open_wronly; Open_trunc; Open_creat ]
-  in
-  let oc = open_out_gen flags 0o644 path in
-  if fresh_file then begin
-    output_string oc (header ^ "\n");
-    flush oc
-  end;
   {
     path;
     program;
     memo;
-    oc;
-    policy = sync;
+    (* flush per record, no fsync: {!sync} is the per-wave durability point *)
+    log = Textlog.create ~truncate:(not resume) ~fsync_every:0 ~header path;
     seq = Hashtbl.length memo;
     replayed = Hashtbl.length memo;
     hits = 0;
@@ -140,19 +84,8 @@ let create ?(resume = false) ?(sync = Flush_only) ~path program =
     lock = Mutex.create ();
   }
 
-let fsync_oc oc =
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
-
-let sync t =
-  Mutex.protect t.lock (fun () ->
-      flush t.oc;
-      fsync_oc t.oc)
-
-let close t =
-  Mutex.protect t.lock (fun () ->
-      flush t.oc;
-      fsync_oc t.oc;
-      close_out t.oc)
+let sync t = Textlog.sync t.log
+let close t = Textlog.close t.log
 let path t = t.path
 let entries t = Mutex.protect t.lock (fun () -> Hashtbl.length t.memo)
 let replayed t = t.replayed
@@ -173,15 +106,8 @@ let record_key t key ~summary verdict =
         Hashtbl.add t.memo key verdict;
         t.seq <- t.seq + 1;
         t.fresh <- t.fresh + 1;
-        Printf.fprintf t.oc "%s %s %d | %s\n" key
-          (Harness.verdict_to_string verdict)
-          t.seq summary;
-        (* flush per record: a crash loses at most the line being written *)
-        flush t.oc;
-        (* under [Fsync_each], neither can a power loss: the record is on
-           disk before the verdict is acted on, so the file can only ever
-           end in a truncated line — never a torn earlier one *)
-        match t.policy with Fsync_each -> fsync_oc t.oc | Flush_only -> ()
+        Textlog.append t.log
+          (Printf.sprintf "%s %s %d | %s" key (Harness.verdict_to_string verdict) t.seq summary)
       end)
 
 let summary_of cfg =

@@ -13,7 +13,7 @@
     Fig. 3 configuration tokens in the summary field):
 
     {v
-    # craft-journal v1 <program-name-or-blank>
+    # craft-journal v1
     <digest16> <verdict-token> <tests-so-far> | <Fig.3-style config summary>
     v}
 
@@ -27,25 +27,15 @@
 
 type t
 
-type sync_policy =
-  | Flush_only
-      (** flush each record to the OS; physical write ordering is the
-          kernel's business (call {!sync} at wave boundaries for more) *)
-  | Fsync_each
-      (** flush {e and} [fsync(2)] each record: even a power loss can only
-          truncate the file at the record being written, never tear an
-          earlier one *)
-
-val create : ?resume:bool -> ?sync:sync_policy -> path:string -> Ir.program -> t
-(** Open [path] for appending, creating it if missing. With
-    [resume = true] (default [false]) existing records are replayed into
-    the memo first; without it the file is truncated and the campaign
-    starts clean. [sync] (default {!Flush_only}) picks the durability
-    policy for each appended record. *)
+val create : ?resume:bool -> path:string -> Ir.program -> t
+(** Open [path] for appending through {!Textlog}, creating it if missing.
+    With [resume = true] (default [false]) existing records are replayed
+    into the memo first, and a half-record a crash left at the end is cut
+    off before the first append; without it the file is truncated and the
+    campaign starts clean. Each record is flushed but not fsynced. *)
 
 val sync : t -> unit
-(** Flush and [fsync(2)] the journal now — the per-wave durability point
-    for callers running under {!Flush_only}. *)
+(** Flush and [fsync(2)] the journal now: the per-wave durability point. *)
 
 val close : t -> unit
 (** Flush, fsync and close. *)
@@ -80,13 +70,11 @@ val wrap_target : t -> harness:Harness.t -> Bfs.Target.t -> Bfs.Target.t
     retries), records the verdict, and folds to the search's boolean
     view. *)
 
-val load : path:string -> Ir.program -> (string * Harness.verdict) list
-(** Tolerantly parse a journal file into [(digest, verdict)] pairs, oldest
-    first, without opening it for writing. *)
-
 val scan : path:string -> (string * Harness.verdict) list
-(** {!load} without a program: the records carry their own configuration
-    digests, so read-only inspection ([craft journal]) needs no binary. *)
+(** Tolerantly parse a journal file into [(digest, verdict)] pairs, oldest
+    first, without opening it for writing. The records carry their own
+    configuration digests, so read-only inspection ([craft journal]) needs
+    no program. *)
 
 type verify_report = {
   records : int;  (** well-formed records *)

@@ -76,13 +76,27 @@ let status_of j =
     wall = (j.wall +. if j.state = Wire.Running then now () -. j.started else 0.0);
   }
 
-(* ------------------------------------------------------------- campaigns *)
+let new_job id spec kernel =
+  {
+    id;
+    spec;
+    kernel;
+    state = Wire.Queued;
+    tested = 0;
+    hits = 0;
+    misses = 0;
+    started = 0.0;
+    wall = 0.0;
+    events_rev = [];
+    n_events = 0;
+    stop = Atomic.make false;
+    deaths = 0;
+    recovered = false;
+    config_text = "";
+    summary = "";
+  }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+(* ------------------------------------------------------------- campaigns *)
 
 (* Everything an evaluation verdict depends on besides the program and the
    candidate config: the step budget and the backend. Two jobs that differ
@@ -108,7 +122,7 @@ let run_campaign t j =
     | None -> (None, None)
     | Some root ->
         let dir = Filename.concat root j.id in
-        mkdir_p dir;
+        Textlog.mkdir_p dir;
         let journal =
           Journal.create ~resume:resumed ~path:(Filename.concat dir "journal")
             k.Kernel.program
@@ -246,17 +260,11 @@ let pick_queued t =
 
 let result_path root id = Filename.concat (Filename.concat root id) "result"
 
-(* Write-temp/fsync/rename, like Checkpoint.save: the result file is always
-   either absent or a complete configuration. *)
+(* Atomic, like Checkpoint.save: the result file is always either absent
+   or a complete configuration. *)
 let write_result path text =
-  mkdir_p (Filename.dirname path);
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc text;
-  flush oc;
-  (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-  close_out oc;
-  Sys.rename tmp path
+  Textlog.mkdir_p (Filename.dirname path);
+  Textlog.write_atomic path (fun oc -> output_string oc text)
 
 let read_result path =
   if not (Sys.file_exists path) then ""
@@ -385,26 +393,7 @@ let recover t root wal_path =
                 (Printf.sprintf "%s: not recovered (cannot resolve %s.%s: %s)" id
                    spec.Wire.bench spec.Wire.cls why)
           | Ok kernel ->
-              let j =
-                {
-                  id;
-                  spec;
-                  kernel;
-                  state = Wire.Queued;
-                  tested = 0;
-                  hits = 0;
-                  misses = 0;
-                  started = 0.0;
-                  wall = 0.0;
-                  events_rev = [];
-                  n_events = 0;
-                  stop = Atomic.make false;
-                  deaths = 0;
-                  recovered = false;
-                  config_text = "";
-                  summary = "";
-                }
-              in
+              let j = new_job id spec kernel in
               Hashtbl.replace t.jobs id j;
               t.order <- id :: t.order;
               (match outcome with
@@ -458,7 +447,7 @@ let create ?(options = default_options) ?(log = ignore) ?fleet ~resolve ~pool ~c
   (match opts.state_dir with
   | None -> ()
   | Some root ->
-      mkdir_p root;
+      Textlog.mkdir_p root;
       let wal_path = Filename.concat root "jobs.wal" in
       (* replay the previous life's job table before the writer reopens the
          WAL, and before any runner can race the recovered queue *)
@@ -493,26 +482,7 @@ let submit t spec =
           else begin
             t.next_id <- t.next_id + 1;
             let id = Printf.sprintf "j%04d" t.next_id in
-            let j =
-              {
-                id;
-                spec;
-                kernel;
-                state = Wire.Queued;
-                tested = 0;
-                hits = 0;
-                misses = 0;
-                started = 0.0;
-                wall = 0.0;
-                events_rev = [];
-                n_events = 0;
-                stop = Atomic.make false;
-                deaths = 0;
-                recovered = false;
-                config_text = "";
-                summary = "";
-              }
-            in
+            let j = new_job id spec kernel in
             Hashtbl.replace t.jobs id j;
             t.order <- id :: t.order;
             Option.iter (fun wal -> Wal.append wal (Wal.Submitted { id; spec })) t.wal;

@@ -21,59 +21,29 @@ type t = {
   mutable waits : int;
   replayed : int;
   (* durable log; [None] keeps the store memory-only (tests, ad-hoc) *)
-  mutable log : out_channel option;
-  fsync_every : int;  (* 0 = never, 1 = per record, n = every n appends *)
-  mutable unsynced : int;
+  mutable log : Textlog.t option;
   mutable seq : int;
 }
 
 (* ------------------------------------------------------------ log format *)
 
-(* One record per line, mirroring the Journal's format and its tolerant
-   loader: [<escaped-key> <verdict-token> <seq>]. Keys are compound
-   ([program_key/opts_digest/Config.digest]) so unlike journal digests they
-   are escaped; like the journal, any line that does not parse — malformed,
-   or the truncated half-record a crash leaves at the end — is dropped,
-   never fatal. *)
+(* One record per line: [<escaped-key> <verdict-token> <seq>]. Keys are
+   compound ([program_key/opts_digest/Config.digest]), so unlike journal
+   digests they are escaped. *)
+let record_line key v seq =
+  Printf.sprintf "%s %s %d" (Verdict.escape key) (Verdict.verdict_to_string v) seq
+
 let parse_line line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then None
-  else
-    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    | [ key; verdict; seq ] -> (
-        match
-          (Verdict.unescape key, Verdict.verdict_of_string verdict, int_of_string_opt seq)
-        with
-        | Some k, Some v, Some _ -> Some (k, v)
-        | _ -> None)
-    | _ -> None
+  match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+  | [ key; verdict; seq ] -> (
+      match
+        (Verdict.unescape key, Verdict.verdict_of_string verdict, int_of_string_opt seq)
+      with
+      | Some k, Some v, Some _ -> Some (k, v)
+      | _ -> None)
+  | _ -> None
 
-let read_records path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let records = ref [] in
-    (try
-       while true do
-         match parse_line (input_line ic) with
-         | Some r -> records := r :: !records
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !records
-  end
-
-let scan ~path = read_records path
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let fsync_oc oc =
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
+let scan ~path = (Textlog.scan parse_line path).records
 
 (* ------------------------------------------------------------- lifecycle *)
 
@@ -83,17 +53,12 @@ let create ?path ?(fsync_every = 32) () =
     match path with
     | None -> (None, 0, 0)
     | Some p ->
-        let records = read_records p in
+        let records = scan ~path:p in
         List.iter (fun (k, v) -> Hashtbl.replace table k (Done v)) records;
-        let fresh = not (Sys.file_exists p) in
-        mkdir_p (Filename.dirname p);
-        let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 p in
-        if fresh then begin
-          output_string oc (header ^ "\n");
-          flush oc;
-          fsync_oc oc
-        end;
-        (Some oc, Hashtbl.length table, List.length records)
+        Textlog.mkdir_p (Filename.dirname p);
+        ( Some (Textlog.create ~fsync_every ~header p),
+          Hashtbl.length table,
+          List.length records )
   in
   {
     lock = Mutex.create ();
@@ -104,48 +69,29 @@ let create ?path ?(fsync_every = 32) () =
     waits = 0;
     replayed;
     log;
-    fsync_every = max 0 fsync_every;
-    unsynced = 0;
     seq;
   }
 
 let key ~program_key ~opts_digest ~config_digest =
   String.concat "/" [ program_key; opts_digest; config_digest ]
 
-(* Lock held. Flush always (a crash loses at most this record); fsync per
-   the batching policy (a power loss loses at most the unsynced batch). *)
+(* Lock held. The log flushes every record (a crash loses at most this
+   one) and fsyncs per the batching policy (a power loss loses at most the
+   unsynced batch). *)
 let persist t key v =
-  match t.log with
-  | None -> ()
-  | Some oc ->
+  Option.iter
+    (fun log ->
       t.seq <- t.seq + 1;
-      Printf.fprintf oc "%s %s %d\n" (Verdict.escape key) (Verdict.verdict_to_string v)
-        t.seq;
-      flush oc;
-      t.unsynced <- t.unsynced + 1;
-      if t.fsync_every > 0 && t.unsynced >= t.fsync_every then begin
-        fsync_oc oc;
-        t.unsynced <- 0
-      end
+      Textlog.append log (record_line key v t.seq))
+    t.log
 
-let sync t =
-  Mutex.protect t.lock (fun () ->
-      match t.log with
-      | None -> ()
-      | Some oc ->
-          flush oc;
-          fsync_oc oc;
-          t.unsynced <- 0)
+let sync t = Mutex.protect t.lock (fun () -> Option.iter Textlog.sync t.log)
 
 let close t =
   Mutex.protect t.lock (fun () ->
-      match t.log with
-      | None -> ()
-      | Some oc ->
-          t.log <- None;
-          flush oc;
-          fsync_oc oc;
-          close_out oc)
+      let log = t.log in
+      t.log <- None;
+      Option.iter Textlog.close log)
 
 let find_or_compute t ~key f =
   Mutex.lock t.lock;
@@ -189,7 +135,7 @@ let find_or_compute t ~key f =
 let compact ~path =
   if not (Sys.file_exists path) then Error (path ^ ": no such store log")
   else begin
-    let records = read_records path in
+    let records = scan ~path in
     let table = Hashtbl.create 1024 in
     let order = ref [] in
     List.iter
@@ -199,20 +145,12 @@ let compact ~path =
         Hashtbl.replace table k v)
       records;
     let keys = List.rev !order in
-    let tmp = path ^ ".tmp" in
     match
-      let oc = open_out tmp in
-      output_string oc (header ^ "\n");
-      List.iteri
-        (fun i k ->
-          Printf.fprintf oc "%s %s %d\n" (Verdict.escape k)
-            (Verdict.verdict_to_string (Hashtbl.find table k))
-            (i + 1))
-        keys;
-      flush oc;
-      fsync_oc oc;
-      close_out oc;
-      Sys.rename tmp path
+      Textlog.write_atomic path (fun oc ->
+          output_string oc (header ^ "\n");
+          List.iteri
+            (fun i k -> output_string oc (record_line k (Hashtbl.find table k) (i + 1) ^ "\n"))
+            keys)
     with
     | () -> Ok (List.length keys, List.length records - List.length keys)
     | exception Sys_error why -> Error why

@@ -21,13 +21,11 @@
     exactly once. The store is domain- and thread-safe.
 
     With [?path], the store is {e durable}: every fresh verdict is appended
-    to an on-disk log in the Journal's record style (one escaped-key line
-    per verdict, tolerant truncation-safe loader) and the log is replayed
-    into the table on {!create} — so a daemon SIGKILLed mid-campaign
-    restarts with every verdict it ever computed. Appends flush per record
-    and [fsync(2)] every [fsync_every] records (the write-batching policy);
-    {!sync} forces the batch out early, {!compact} rewrites a log grown by
-    duplicate-free appends across many daemon lifetimes. *)
+    to a {!Textlog} (one [<escaped-key> <verdict> <seq>] line per verdict)
+    that {!create} replays, so a daemon SIGKILLed mid-campaign restarts
+    with every verdict it ever computed. Appends flush per record and
+    [fsync(2)] every [fsync_every] records; {!sync} forces the batch out
+    early, and {!compact} rewrites the log atomically. *)
 
 type t
 
@@ -70,7 +68,7 @@ val scan : path:string -> (string * Verdict.verdict) list
 
 val compact : path:string -> (int * int, string) result
 (** Offline compaction: rewrite the log with one record per distinct key
-    (last verdict wins, matching replay) via write-temp/fsync/rename.
+    (last verdict wins, matching replay) via {!Textlog.write_atomic}.
     Returns [(kept, dropped)]. Run it on a daemon's state dir between
     lifetimes, not while one is appending. *)
 

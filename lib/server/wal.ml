@@ -4,7 +4,7 @@ type record =
   | Submitted of { id : string; spec : Wire.job_spec }
   | Outcome of { id : string; state : Wire.job_state; summary : string }
 
-type t = { path : string; oc : out_channel; lock : Mutex.t }
+type t = { path : string; log : Textlog.t }
 
 (* ---------------------------------------------------------------- format *)
 
@@ -46,119 +46,77 @@ let record_line = function
   | Outcome { id; state; summary } ->
       Printf.sprintf "outcome %s %s %s" id (state_token state) (Verdict.escape summary)
 
-(* Tolerant, like the Journal: any line that does not parse — malformed, or
-   the truncated half-record a crash leaves at the end — is dropped. *)
 let parse_line line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then None
-  else
-    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    (* submit records grew an 8th (formats) token with the lattice and a
-       9th (strategy) token with pluggable strategies; the 7-token form is
-       what pre-lattice daemons wrote, the 8-token form what pre-strategy
-       daemons wrote — both still load, resuming those jobs with the
-       single-only default menu and the default bfs strategy *)
-    | [ "submit"; id; bench; cls; shadow; priority; steps ]
-    | [ "submit"; id; bench; cls; shadow; priority; steps; _ ]
-    | [ "submit"; id; bench; cls; shadow; priority; steps; _; _ ] as toks -> (
-        let formats_tok, strategy_tok =
-          match toks with
-          | [ _; _; _; _; _; _; _; m ] -> (m, "-")
-          | [ _; _; _; _; _; _; _; m; s ] -> (m, s)
-          | _ -> ("-", "-")
-        in
-        match
-          ( Verdict.unescape bench,
-            Verdict.unescape cls,
-            (match shadow with "0" -> Some false | "1" -> Some true | _ -> None),
-            int_of_string_opt priority,
-            (match steps with
-            | "-" -> Some None
-            | s -> Option.map Option.some (int_of_string_opt s)),
-            (match formats_tok with "-" -> Some "" | m -> Verdict.unescape m),
-            match strategy_tok with "-" -> Some "" | s -> Verdict.unescape s )
-        with
-        | ( Some bench,
-            Some cls,
-            Some shadow,
-            Some priority,
-            Some eval_steps,
-            Some formats,
-            Some strategy ) ->
-            Some
-              (Submitted
-                 {
-                   id;
-                   spec =
-                     {
-                       Wire.bench;
-                       cls;
-                       shadow;
-                       priority;
-                       eval_steps;
-                       formats;
-                       strategy;
-                     };
-                 })
-        | _ -> None)
-    | "outcome" :: id :: state :: rest -> (
-        let summary =
-          match rest with
-          | [] -> Some ""
-          | [ s ] -> Verdict.unescape s
-          | _ -> None
-        in
-        match (state_of_token state, summary) with
-        | Some state, Some summary -> Some (Outcome { id; state; summary })
-        | _ -> None)
-    | _ -> None
+  match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+  (* submit records grew an 8th (formats) token with the lattice and a
+     9th (strategy) token with pluggable strategies; the 7-token form is
+     what pre-lattice daemons wrote, the 8-token form what pre-strategy
+     daemons wrote — both still load, resuming those jobs with the
+     single-only default menu and the default bfs strategy *)
+  | [ "submit"; id; bench; cls; shadow; priority; steps ]
+  | [ "submit"; id; bench; cls; shadow; priority; steps; _ ]
+  | [ "submit"; id; bench; cls; shadow; priority; steps; _; _ ] as toks -> (
+      let formats_tok, strategy_tok =
+        match toks with
+        | [ _; _; _; _; _; _; _; m ] -> (m, "-")
+        | [ _; _; _; _; _; _; _; m; s ] -> (m, s)
+        | _ -> ("-", "-")
+      in
+      match
+        ( Verdict.unescape bench,
+          Verdict.unescape cls,
+          (match shadow with "0" -> Some false | "1" -> Some true | _ -> None),
+          int_of_string_opt priority,
+          (match steps with
+          | "-" -> Some None
+          | s -> Option.map Option.some (int_of_string_opt s)),
+          (match formats_tok with "-" -> Some "" | m -> Verdict.unescape m),
+          match strategy_tok with "-" -> Some "" | s -> Verdict.unescape s )
+      with
+      | ( Some bench,
+          Some cls,
+          Some shadow,
+          Some priority,
+          Some eval_steps,
+          Some formats,
+          Some strategy ) ->
+          Some
+            (Submitted
+               {
+                 id;
+                 spec =
+                   {
+                     Wire.bench;
+                     cls;
+                     shadow;
+                     priority;
+                     eval_steps;
+                     formats;
+                     strategy;
+                   };
+               })
+      | _ -> None)
+  | "outcome" :: id :: state :: rest -> (
+      let summary =
+        match rest with
+        | [] -> Some ""
+        | [ s ] -> Verdict.unescape s
+        | _ -> None
+      in
+      match (state_of_token state, summary) with
+      | Some state, Some summary -> Some (Outcome { id; state; summary })
+      | _ -> None)
+  | _ -> None
 
 (* ------------------------------------------------------------- lifecycle *)
 
-let fsync_oc oc =
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
-
-let create ~path =
-  let fresh = not (Sys.file_exists path) in
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path in
-  if fresh then begin
-    output_string oc (header ^ "\n");
-    flush oc;
-    fsync_oc oc
-  end;
-  { path; oc; lock = Mutex.create () }
-
-let path t = t.path
-
 (* Job lifecycle transitions are rare next to evaluations, so every append
-   is flushed and fsynced: the job table is never behind the crash. *)
-let append t r =
-  Mutex.protect t.lock (fun () ->
-      output_string t.oc (record_line r ^ "\n");
-      flush t.oc;
-      fsync_oc t.oc)
-
-let close t =
-  Mutex.protect t.lock (fun () ->
-      flush t.oc;
-      fsync_oc t.oc;
-      close_out t.oc)
-
-let load ~path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let records = ref [] in
-    (try
-       while true do
-         match parse_line (input_line ic) with
-         | Some r -> records := r :: !records
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !records
-  end
+   is fsynced: the job table is never behind the crash. *)
+let create ~path = { path; log = Textlog.create ~fsync_every:1 ~header path }
+let path t = t.path
+let append t r = Textlog.append t.log (record_line r)
+let close t = Textlog.close t.log
+let load ~path = (Textlog.scan parse_line path).records
 
 (* ---------------------------------------------------------------- replay *)
 

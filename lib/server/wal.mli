@@ -8,9 +8,9 @@
     that never reached a terminal state, and serves the results of the ones
     that did.
 
-    Format mirrors the Journal: a text header, one record per line, and a
-    tolerant loader that drops anything unparseable — including the
-    truncated half-record a [kill -9] can leave at the end.
+    The WAL is a {!Textlog}: a text header, one record per line, and a
+    tolerant loader that drops anything unparseable, such as the
+    half-record a [kill -9] can leave at the end.
 
     {v
     # craft-wal v1

@@ -387,6 +387,94 @@ let test_journal_verify () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "verified a missing file")
 
+(* ------------------------------------------------------ torn-tail reopen *)
+
+(* A crash mid-append leaves an unterminated half-record at the end of a
+   log. The next life must not glue its first record onto that fragment:
+   the two would share one unparseable line and the new record would be
+   lost on the following replay. *)
+let append_torn path half =
+  let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
+  output_string oc half;
+  close_out oc
+
+let test_reopen_after_torn_tail () =
+  let dir = temp_dir "craft_torn" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let path = Filename.concat dir "store.log" in
+      let store_life key =
+        let store = Store.create ~path () in
+        ignore (Store.find_or_compute store ~key (fun () -> Verdict.Pass));
+        Store.close store
+      in
+      store_life "a/b/c1";
+      append_torn path "a/b/c2 pa";
+      store_life "a/b/c3";
+      Alcotest.(check (list string))
+        "store: second life's record replays" [ "a/b/c1"; "a/b/c3" ]
+        (List.map fst (Store.scan ~path));
+      let path = Filename.concat dir "journal" in
+      let prog, _ = Test_harness.synthetic ~n_ops:4 ~poison:[] () in
+      let cands = Static.candidates prog in
+      let cfg1 = Config.set_insn Config.empty cands.(0).Static.addr Config.Single in
+      let cfg2 = Config.set_module Config.empty "syn" Config.Single in
+      let j = Journal.create ~path prog in
+      Journal.record j cfg1 Verdict.Pass;
+      Journal.close j;
+      append_torn path "0123456789abcdef pa";
+      let j = Journal.create ~resume:true ~path prog in
+      Journal.record j cfg2 Verdict.Fail_verify;
+      Journal.close j;
+      let j = Journal.create ~resume:true ~path prog in
+      checki "journal: both lives replay" 2 (Journal.replayed j);
+      checkb "journal: second life's verdict" true
+        (Journal.lookup j cfg2 = Some Verdict.Fail_verify);
+      Journal.close j;
+      (match Journal.verify ~path with
+      | Ok r ->
+          checki "journal: two records" 2 r.Journal.records;
+          checkb "journal: not torn" false r.Journal.torn
+      | Error why -> Alcotest.fail why);
+      let path = Filename.concat dir "jobs.wal" in
+      let spec =
+        { Wire.bench = "cg"; cls = "W"; shadow = false; priority = 0; eval_steps = None; formats = ""; strategy = "" }
+      in
+      let wal_life id =
+        let wal = Wal.create ~path in
+        Wal.append wal (Wal.Submitted { id; spec });
+        Wal.close wal
+      in
+      wal_life "j0001";
+      append_torn path "submit j0002 cg W 0";
+      wal_life "j0003";
+      Alcotest.(check (list string))
+        "wal: second life's job replays" [ "j0001"; "j0003" ]
+        (List.map fst (Wal.replay (Wal.load ~path))))
+
+(* ----------------------------------------------------------- atomic write *)
+
+(* Checkpoints, compacted store logs and result files are all replaced
+   through one write-temp/fsync/rename. A writer that dies half way must
+   leave the previous file exactly as it was and no temp file behind, and
+   its exception must reach the caller. *)
+let test_write_atomic_failure () =
+  let dir = temp_dir "craft_atomic" in
+  let path = Filename.concat dir "result" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      Textlog.write_atomic path (fun oc -> output_string oc "old\n");
+      checks "first write lands" "old\n" (read_file path);
+      (match
+         Textlog.write_atomic path (fun oc ->
+             output_string oc "half a new file";
+             failwith "writer died")
+       with
+      | () -> Alcotest.fail "the writer's exception was swallowed"
+      | exception Failure why -> checks "exception propagates" "writer died" why);
+      checks "previous file byte-identical" "old\n" (read_file path);
+      Alcotest.(check (list string))
+        "no temp file left" [ "result" ]
+        (Array.to_list (Sys.readdir dir)))
+
 (* --------------------------------------------------------------- lockfile *)
 
 let test_lockfile () =
@@ -856,6 +944,10 @@ let suite =
       test_wal_loads_prelattice_lines;
     Alcotest.test_case "journal: --verify classifies truncation vs torn" `Quick
       test_journal_verify;
+    Alcotest.test_case "reopen after a torn tail keeps the next record" `Quick
+      test_reopen_after_torn_tail;
+    Alcotest.test_case "atomic write: a failing writer leaves the old file" `Quick
+      test_write_atomic_failure;
     Alcotest.test_case "lockfile: acquire/release/stale-reclaim" `Quick test_lockfile;
     Alcotest.test_case "golden: store.log bytes, before and after compaction" `Quick
       test_store_log_bytes;
