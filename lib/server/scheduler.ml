@@ -76,6 +76,7 @@ let status_of j =
     wall = (j.wall +. if j.state = Wire.Running then now () -. j.started else 0.0);
   }
 
+(* A queued job: freshly submitted, or re-listed from the WAL. *)
 let new_job id spec kernel =
   {
     id;
