@@ -43,6 +43,9 @@ let or_die = function
       prerr_endline ("craft: " ^ msg);
       exit 1
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
 let with_kernel name cls f =
   let cls = or_die (class_of_string cls) in
   let k = or_die (load name cls) in
@@ -85,11 +88,7 @@ let config_arg =
 let read_config program = function
   | None -> Config.empty
   | Some path ->
-      let ic = open_in path in
-      let len = in_channel_length ic in
-      let text = really_input_string ic len in
-      close_in ic;
-      or_die (Config.parse program text |> Result.map_error (fun e -> "config: " ^ e))
+      or_die (Config.parse program (read_file path) |> Result.map_error (fun e -> "config: " ^ e))
 
 let view_cmd =
   let run name cls cfg_file =
@@ -226,7 +225,7 @@ let shadow_flag =
 let shadow_threshold_arg =
   Arg.(
     value
-    & opt float Shadow_report.default_threshold
+    & opt float Campaign.default_shadow.threshold
     & info [ "shadow-threshold" ] ~docv:"REL"
         ~doc:
           "Worst-case relative divergence below which a structure is predicted to survive \
@@ -234,7 +233,8 @@ let shadow_threshold_arg =
 
 let shadow_prune_arg =
   Arg.(
-    value & opt float 1e-1
+    value
+    & opt float Campaign.default_shadow.prune_above
     & info [ "shadow-prune" ] ~docv:"BOUND"
         ~doc:
           "Hard divergence bound for shadow pruning: candidates predicted to diverge \
@@ -274,22 +274,15 @@ let formats_arg =
            passing structure is retried at every cheaper format, cheapest first. Empty \
            (the default) searches single-vs-double exactly as before.")
 
-let parse_formats_menu s =
-  if s = "" then Bfs.default_options.Bfs.formats
-  else
-    match Formats.menu_of_string s with
-    | Ok menu -> menu
-    | Error why ->
-        prerr_endline ("craft: --formats: " ^ why);
-        exit 1
+let parse_spec ~formats ~strategy =
+  or_die (Result.map_error Campaign.error_message (Campaign.parse ~formats ~strategy))
 
 let search_cmd =
   let run name cls workers out strategy journal_path resume retries eval_steps inject
       deadline checkpoint_path quarantine_after use_shadow shadow_threshold shadow_prune
       backend_name cache_stats formats_menu =
     with_kernel name cls (fun k ->
-        let formats = parse_formats_menu formats_menu in
-        let strategy = or_die (Strategy.of_string strategy) in
+        let formats, strategy = parse_spec ~formats:formats_menu ~strategy in
         if resume && journal_path = None && checkpoint_path = None then begin
           prerr_endline "craft: --resume requires --journal FILE or --checkpoint FILE";
           exit 1
@@ -310,42 +303,6 @@ let search_cmd =
                    backend_name);
               exit 1
         in
-        let harness, target =
-          (* silent injected corruption forges verification failures, so
-             retries extend to fail-verify whenever the injector is armed *)
-          Harness.wrap_target ~retries ~retry_fail_verify:(faults <> None)
-            (Kernel.target ?eval_steps ?faults ~backend k)
-        in
-        let journal =
-          Option.map (fun p -> Journal.create ~resume ~path:p k.Kernel.program) journal_path
-        in
-        let target =
-          match journal with Some j -> Journal.wrap_target j ~harness target | None -> target
-        in
-        let shadow_opts =
-          if not use_shadow then None
-          else begin
-            let tracer =
-              Shadow_tracer.create
-                ~config:(Shadow_tracer.all_single ~base:k.Kernel.hints k.Kernel.program)
-                k.Kernel.program
-            in
-            let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:k.Kernel.setup in
-            let report =
-              Shadow_report.make ~threshold:shadow_threshold ~base:k.Kernel.hints
-                k.Kernel.program tracer
-            in
-            let on_pruned cfg div =
-              match journal with
-              | Some j ->
-                  Journal.record j cfg
-                    (Verdict.Pruned (Printf.sprintf "shadow predicted divergence %.3e" div))
-              | None -> ()
-            in
-            let prune_above = if shadow_prune > 0.0 then Some shadow_prune else None in
-            Some (Bfs.shadow ?prune_above ~on_pruned report)
-          end
-        in
         (* The supervised pool is staffed whenever parallelism or a deadline
            asks for it; the CLI owns it (the search only borrows it). *)
         let pool =
@@ -363,14 +320,6 @@ let search_cmd =
                  ())
           else None
         in
-        let checkpoint =
-          Option.map
-            (fun path ->
-              Bfs.checkpoint ~resume
-                ~save_counters:(fun () -> Harness.counters_list harness)
-                ~restore_counters:(Harness.restore_counters harness) path)
-            checkpoint_path
-        in
         (* first ^C asks the search to stop at the next wave boundary (final
            checkpoint flushed, partial result composed); a second ^C aborts
            outright *)
@@ -387,19 +336,17 @@ let search_cmd =
                       checkpoint, composing the partial result (^C again to abort)"
                  end))
         in
-        let options =
-          {
-            Bfs.default_options with
-            workers;
-            base = k.Kernel.hints;
-            pool;
-            checkpoint;
-            shadow = shadow_opts;
-            formats;
-            stop = (fun () -> Atomic.get interrupt);
-          }
+        let shadow =
+          if use_shadow then
+            Some { Campaign.threshold = shadow_threshold; prune_above = shadow_prune }
+          else None
         in
-        let result = Strategy.run ~options strategy target in
+        let { Campaign.result; harness; target; journal } =
+          Campaign.run ?eval_steps ?faults ~backend ~retries ?shadow ?journal:journal_path
+            ?checkpoint:checkpoint_path ~resume ?pool
+            ~stop:(fun () -> Atomic.get interrupt)
+            ~workers ~formats strategy k
+        in
         Sys.set_signal Sys.sigint prev_sigint;
         let rec_ = Analysis.of_result target ~setup:k.Kernel.setup result in
         if result.Bfs.interrupted then
@@ -412,9 +359,7 @@ let search_cmd =
           Format.printf "shadow: pruned %d candidate evaluation(s)@." result.Bfs.pruned;
         (match out with
         | Some path ->
-            let oc = open_out path in
-            output_string oc rec_.Analysis.config_text;
-            close_out oc;
+            write_file path rec_.Analysis.config_text;
             Format.printf "final configuration written to %s@." path
         | None -> print_string rec_.Analysis.tree);
         Format.printf "%s@." (Harness.report harness);
@@ -442,8 +387,7 @@ let search_cmd =
         | Some j ->
             Format.printf "journal %s: %d replayed, %d hit(s), %d fresh, %d record(s)@."
               (Journal.path j) (Journal.replayed j) (Journal.hits j) (Journal.fresh j)
-              (Journal.entries j);
-            Journal.close j
+              (Journal.entries j)
         | None -> ())
   in
   Cmd.v
@@ -478,12 +422,8 @@ let shadow_cmd =
         k.Kernel.setup plain;
         Vm.run plain;
         let t1 = Unix.gettimeofday () in
-        let tracer =
-          Shadow_tracer.create ~config:(Shadow_tracer.all_single ~base:k.Kernel.hints prog) prog
-        in
-        let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:k.Kernel.setup in
+        let tracer, report = Campaign.trace ~threshold k in
         let t2 = Unix.gettimeofday () in
-        let report = Shadow_report.make ~threshold ~base:k.Kernel.hints prog tracer in
         print_string (Shadow_report.render report);
         Format.printf "observations: %d; tracer overhead %.1fx (plain %.3fs, traced %.3fs)@."
           (Shadow_tracer.observations tracer)
@@ -491,9 +431,7 @@ let shadow_cmd =
           (t1 -. t0) (t2 -. t1);
         match json_out with
         | Some path ->
-            let oc = open_out path in
-            output_string oc (Shadow_report.to_json report);
-            close_out oc;
+            write_file path (Shadow_report.to_json report);
             Format.printf "JSON written to %s@." path
         | None -> ())
   in
@@ -522,18 +460,11 @@ let file_arg =
 
 let assemble_cmd =
   let run path =
-    let ic = open_in path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Asm.parse text with
-    | Error e ->
-        prerr_endline ("craft: " ^ e);
-        exit 1
-    | Ok prog ->
-        let cands = Array.length (Static.candidates prog) in
-        Format.printf "assembled %d function(s), %d instruction(s), %d FP candidate(s)@."
-          (Array.length prog.Ir.funcs) (Static.insn_count prog) cands;
-        Format.printf "%a@." Ir.pp_program prog
+    let prog = or_die (Asm.parse (read_file path)) in
+    let cands = Array.length (Static.candidates prog) in
+    Format.printf "assembled %d function(s), %d instruction(s), %d FP candidate(s)@."
+      (Array.length prog.Ir.funcs) (Static.insn_count prog) cands;
+    Format.printf "%a@." Ir.pp_program prog
   in
   Cmd.v
     (Cmd.info "assemble" ~doc:"Assemble a listing file and print the validated binary")
@@ -544,21 +475,14 @@ let slots_arg =
 
 let asm_run_cmd =
   let run path slots =
-    let ic = open_in path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Asm.parse text with
-    | Error e ->
-        prerr_endline ("craft: " ^ e);
-        exit 1
-    | Ok prog ->
-        let vm = Vm.create prog in
-        Vm.run vm;
-        let n = min slots prog.Ir.fheap_size in
-        for i = 0 to n - 1 do
-          Format.printf "[%d] %.17g@." i (Vm.get_f_value vm i)
-        done;
-        Format.printf "executed %d instructions@." vm.Vm.steps
+    let prog = or_die (Asm.parse (read_file path)) in
+    let vm = Vm.create prog in
+    Vm.run vm;
+    let n = min slots prog.Ir.fheap_size in
+    for i = 0 to n - 1 do
+      Format.printf "[%d] %.17g@." i (Vm.get_f_value vm i)
+    done;
+    Format.printf "executed %d instructions@." vm.Vm.steps
   in
   Cmd.v
     (Cmd.info "asm-run" ~doc:"Assemble a listing file, run it, and print the float heap")
@@ -713,6 +637,14 @@ let state_to_string = function
   | Wire.Cancelled -> "cancelled"
   | Wire.Failed why -> "failed: " ^ why
   | Wire.Quarantined why -> "quarantined: " ^ why
+
+(* A served campaign's final configuration: to [-o FILE], or printed. *)
+let print_final out text =
+  match out with
+  | Some path ->
+      write_file path text;
+      Printf.printf "final configuration written to %s\n" path
+  | None -> print_string text
 
 let exit_for_state = function
   | Wire.Done -> 0
@@ -940,12 +872,7 @@ let submit_strategy_arg =
 let submit_cmd =
   let run socket tcp bench cls shadow priority eval_steps wait out formats strategy =
     (* validate locally for a friendly error; the daemon re-validates *)
-    if formats <> "" then ignore (parse_formats_menu formats);
-    (match Strategy.of_string strategy with
-    | Ok _ -> ()
-    | Error why ->
-        prerr_endline ("craft: --strategy: " ^ why);
-        exit 1);
+    ignore (parse_spec ~formats ~strategy);
     let spec = { Wire.bench; cls; shadow; priority; eval_steps; formats; strategy } in
     with_client socket tcp (fun c ->
         let id = or_die (Client.submit c spec) in
@@ -954,13 +881,7 @@ let submit_cmd =
           Printf.printf "submitted %s\n%!" id;
           let status, config_text, summary = or_die (Client.wait c id) in
           Printf.printf "%s: %s — %s\n" id (state_to_string status.Wire.state) summary;
-          (match out with
-          | Some path ->
-              let oc = open_out path in
-              output_string oc config_text;
-              close_out oc;
-              Printf.printf "final configuration written to %s\n" path
-          | None -> print_string config_text);
+          print_final out config_text;
           exit (exit_for_state status.Wire.state)
         end)
   in
@@ -1030,13 +951,7 @@ let results_cmd =
     with_client socket tcp (fun c ->
         let status, config_text, summary = or_die (Client.result c job) in
         Printf.printf "%s: %s — %s\n" job (state_to_string status.Wire.state) summary;
-        (match out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc config_text;
-            close_out oc;
-            Printf.printf "final configuration written to %s\n" path
-        | None -> print_string config_text);
+        print_final out config_text;
         exit (exit_for_state status.Wire.state))
   in
   Cmd.v

@@ -59,33 +59,27 @@ type granularity = Module_level | Func_level | Block_level | Insn_level
 
 type checkpoint_opts = {
   path : string;
-  every : int;
   resume : bool;
   save_counters : unit -> (string * int) list;
   restore_counters : (string * int) list -> unit;
 }
 
-let checkpoint ?(every = 1) ?(resume = false) ?(save_counters = fun () -> [])
-    ?(restore_counters = ignore) path =
-  { path; every = max 1 every; resume; save_counters; restore_counters }
+let checkpoint ?(resume = false) ?(save_counters = fun () -> []) ?(restore_counters = ignore)
+    path =
+  { path; resume; save_counters; restore_counters }
 
 type shadow_opts = {
   report : Shadow_report.t;
-  seed_predicted : bool;
-  reorder : bool;
   prune_above : float option;
   on_pruned : Config.t -> float -> unit;
 }
 
-let shadow ?(seed_predicted = true) ?(reorder = true) ?prune_above
-    ?(on_pruned = fun _ _ -> ()) report =
-  { report; seed_predicted; reorder; prune_above; on_pruned }
+let shadow ?prune_above ?(on_pruned = fun _ _ -> ()) report = { report; prune_above; on_pruned }
 
 type options = {
   stop_at : granularity;
   binary_split : bool;
   prioritize : bool;
-  split_threshold : int;
   workers : int;
   second_phase : bool;
   base : Config.t;
@@ -101,7 +95,6 @@ let default_options =
     stop_at = Insn_level;
     binary_split = true;
     prioritize = true;
-    split_threshold = 4;
     workers = 1;
     second_phase = false;
     base = Config.empty;
@@ -111,6 +104,9 @@ let default_options =
     formats = [ Formats.single ];
     stop = (fun () -> false);
   }
+
+(* binary splitting partitions an aggregate with more children than this *)
+let split_threshold = 4
 
 type result = {
   final : Config.t;
@@ -345,7 +341,7 @@ let drive (module M : S) ?(options = default_options) (target : Target.t) =
   let run () =
     (* the stop request is polled only at wave boundaries, so it never cuts
        a wave in half; "interrupted" means work was still pending *)
-    let rec loop wave st =
+    let rec loop st =
       state := Some st;
       if not (M.pending ctx st) then (st, false)
       else if options.stop () then (st, true)
@@ -356,13 +352,11 @@ let drive (module M : S) ?(options = default_options) (target : Target.t) =
         state := Some st;
         (* snapshots happen only at wave boundaries, where the machine's
            state is exactly the campaign's resumable state *)
-        (match options.checkpoint with
-        | Some ck when wave mod max 1 ck.every = 0 -> save ()
-        | _ -> ());
-        loop (wave + 1) st
+        if Option.is_some options.checkpoint then save ();
+        loop st
       end
     in
-    let st, interrupted = loop 1 (M.init ctx resumed) in
+    let st, interrupted = loop (M.init ctx resumed) in
     let passing_flags, final, final_pass = M.finish ctx st ~interrupted in
     (* statistics over the non-ignored candidates; the dynamic denominator
        counts every FP candidate execution, including Ignore-flagged ones:
@@ -484,7 +478,7 @@ module Descent = struct
           let cs = List.filter (fun c -> live ctx c <> []) (children_of node) in
           match cs with
           | [] -> ()
-          | _ when o.binary_split && List.length cs > o.split_threshold ->
+          | _ when o.binary_split && List.length cs > split_threshold ->
               let a, b = halves cs in
               push st (mk ctx st a);
               push st (mk ctx st b)
@@ -520,7 +514,7 @@ module Descent = struct
      the prediction bought nothing and the search seeds normally. *)
   let shadow_seed ctx st =
     match ctx.options.shadow with
-    | Some s when s.seed_predicted -> (
+    | Some s -> (
         match List.filter (fun n -> live ctx n <> []) (Shadow_report.predicted_nodes s.report) with
         | [] ->
             ctx.say "SHADOW seed: nothing predicted single";
@@ -583,12 +577,12 @@ module Descent = struct
     let cmp a b =
       let by_weight () = match compare b.weight a.weight with 0 -> compare a.seq b.seq | c -> c in
       match ctx.options.shadow with
-      | Some { reorder = true; _ } -> (
+      | Some _ -> (
           (* most tolerant first: predicted divergence ascending, then the
              profile weight (heavier = more dynamic coverage), then seq *)
           match Float.compare a.score b.score with 0 -> by_weight () | c -> c)
-      | _ when ctx.options.prioritize -> by_weight ()
-      | _ -> compare a.seq b.seq
+      | None when ctx.options.prioritize -> by_weight ()
+      | None -> compare a.seq b.seq
     in
     let rec take k = function
       | x :: rest when k > 0 ->

@@ -8,9 +8,9 @@
     Both of the paper's optimizations are implemented and can be toggled
     for ablation:
 
-    - {e binary splitting}: when an aggregate with many children fails, the
-      children are first retried as two half-partitions instead of
-      individually;
+    - {e binary splitting}: when an aggregate with more than four children
+      fails, the children are first retried as two half-partitions instead
+      of individually;
     - {e profiling prioritization}: a native profiling run weights every
       work item by the dynamic execution count of the instructions it
       covers, and the work queue is processed heaviest-first.
@@ -99,8 +99,9 @@ end
 type granularity = Module_level | Func_level | Block_level | Insn_level
 
 type checkpoint_opts = {
-  path : string;  (** snapshot file ([path ^ ".tmp"] is the scratch name) *)
-  every : int;  (** snapshot every [every] waves (clamped to ≥ 1) *)
+  path : string;
+      (** snapshot file ([path ^ ".tmp"] is the scratch name), rewritten
+          after every wave *)
   resume : bool;  (** restore from [path] before searching, if valid *)
   save_counters : unit -> (string * int) list;
       (** caller state persisted with each snapshot (e.g.
@@ -110,24 +111,20 @@ type checkpoint_opts = {
 }
 
 val checkpoint :
-  ?every:int ->
   ?resume:bool ->
   ?save_counters:(unit -> (string * int) list) ->
   ?restore_counters:((string * int) list -> unit) ->
   string ->
   checkpoint_opts
-(** [checkpoint path] with defaults: snapshot every wave, no resume, no
-    caller counters. *)
+(** [checkpoint path] with defaults: no resume, no caller counters. *)
 
 type shadow_opts = {
-  report : Shadow_report.t;  (** a finished shadow-value analysis *)
-  seed_predicted : bool;
-      (** evaluate the predicted configuration first; on pass, its
-          structures enter the passing set immediately and only the
-          unpredicted remainder of the tree is searched *)
-  reorder : bool;
-      (** order the frontier by predicted tolerance (most tolerant first)
-          instead of raw execution counts *)
+  report : Shadow_report.t;
+      (** a finished shadow-value analysis. The search evaluates its
+          predicted configuration first (on pass, those structures enter
+          the passing set and only the unpredicted remainder of the tree is
+          searched) and orders the frontier by predicted tolerance, most
+          tolerant first, instead of raw execution counts *)
   prune_above : float option;
       (** skip — without evaluating — items whose predicted divergence
           exceeds this hard bound. The skip is reported through
@@ -142,20 +139,13 @@ type shadow_opts = {
 }
 
 val shadow :
-  ?seed_predicted:bool ->
-  ?reorder:bool ->
-  ?prune_above:float ->
-  ?on_pruned:(Config.t -> float -> unit) ->
-  Shadow_report.t ->
-  shadow_opts
-(** Defaults: seed and reorder on, no pruning, no pruning callback. *)
+  ?prune_above:float -> ?on_pruned:(Config.t -> float -> unit) -> Shadow_report.t -> shadow_opts
+(** Defaults: no pruning, no pruning callback. *)
 
 type options = {
   stop_at : granularity;  (** coarsest terminal level of the descent *)
   binary_split : bool;
   prioritize : bool;
-  split_threshold : int;  (** partition instead of enumerating when an
-                              aggregate has more children than this *)
   workers : int;  (** parallel evaluation domains (1 = sequential) *)
   second_phase : bool;
       (** greedy composition pass when the final union fails (paper §3.1's
@@ -195,7 +185,7 @@ type options = {
 }
 
 val default_options : options
-(** Instruction-level descent, both optimizations on, threshold 4, 1
+(** Instruction-level descent, both optimizations on, 1
     worker, no second phase, empty base, no pool, no checkpoint, no shadow
     guidance, never-firing stop. *)
 
@@ -320,7 +310,7 @@ end
 
 val drive : (module S) -> ?options:options -> Target.t -> result
 (** Run one machine to completion: waves on the caller's pool, a transient
-    pool, or inline; a snapshot every [every] waves plus the final one; the
+    pool, or inline; a snapshot after every wave plus the final one; the
     stop request polled before each wave. Raises only {!Aborted}. *)
 
 val machine : (module S)

@@ -1,21 +1,4 @@
-(* The verdict taxonomy, its serialization and the total classifier now
-   live in {!Verdict}, below {!Pool} and {!Bfs}; re-export them here with
-   type equations so existing [Harness.Pass] etc. keep working. *)
-
-type verdict = Verdict.verdict =
-  | Pass
-  | Fail_verify
-  | Trapped of int * string
-  | Step_timeout
-  | Crashed of string
-  | Pruned of string
-
-let verdict_label = Verdict.verdict_label
-let verdict_to_string = Verdict.verdict_to_string
-let verdict_of_string = Verdict.verdict_of_string
-let pp_verdict = Verdict.pp_verdict
-let is_flaky = Verdict.is_flaky
-let classify = Verdict.classify
+open Verdict
 
 type counters = {
   mutable evaluations : int;

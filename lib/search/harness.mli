@@ -5,7 +5,7 @@
     binaries of the real tool — can fail verification, trap, exceed its
     step budget, or crash outright. This module turns any raising
     evaluator (usually {!Bfs.Target.raw_eval}) into a {e total} function
-    returning a classified {!verdict}, with
+    returning a classified {!Verdict.verdict}, with
 
     - containment: no exception whatsoever escapes {!eval};
     - bounded retries with deterministic exponential backoff for flaky
@@ -13,53 +13,9 @@
       into permanent search decisions;
     - per-verdict counters for the end-of-campaign breakdown report.
 
-    The verdict taxonomy itself lives in {!Verdict} (so {!Pool} and
-    {!Bfs} can classify without a dependency cycle); this module
-    re-exports it unchanged.
-
     Verdict equality of retried evaluations is deterministic because the
     VM itself is; flakiness only enters through {!Faults} injection or a
     genuinely non-deterministic user evaluator. *)
-
-type verdict = Verdict.verdict =
-  | Pass  (** ran to completion and verified *)
-  | Fail_verify  (** ran to completion, verification rejected the output *)
-  | Trapped of int * string
-      (** the VM trapped: instrumentation-invariant violation,
-          out-of-bounds access, division by zero, injected trap ...
-          [(address, reason)] *)
-  | Step_timeout
-      (** the per-evaluation step budget ran out, or the supervisor's
-          wall-clock deadline cancelled the run *)
-  | Crashed of string  (** any other exception from the evaluator *)
-  | Pruned of string
-      (** skipped without evaluation: the shadow-value analysis predicted
-          divergence above the search's hard bound (see {!Bfs.shadow});
-          journaled, never produced by the harness itself *)
-
-val verdict_label : verdict -> string
-(** Short class label: ["pass"], ["fail"], ["trap"], ["timeout"],
-    ["crash"], ["pruned"]. *)
-
-val verdict_to_string : verdict -> string
-(** Compact single-token serialization (no spaces; payloads are
-    percent-escaped), e.g. ["trap:0x00001f:injected%20fault"]. Used by the
-    {!Journal}. *)
-
-val verdict_of_string : string -> verdict option
-(** Inverse of {!verdict_to_string}; [None] on malformed input. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit
-
-val is_flaky : verdict -> bool
-(** True for {!Trapped}, {!Step_timeout} and {!Crashed} — the verdicts a
-    retry might change when faults are transient. *)
-
-val classify : (unit -> bool) -> verdict
-(** Run one evaluation thunk and classify its outcome. Total: maps
-    {!Vm.Trap}/{!Vm.Limit}/{!Vm.Deadline} to their verdicts and every
-    other exception (including [Stack_overflow] and [Out_of_memory]) to
-    {!Crashed}. *)
 
 type counters = {
   mutable evaluations : int;  (** calls to {!eval} *)
@@ -93,7 +49,7 @@ val make :
     budgets can't overflow the accounting. [cache] attaches the target's
     compiled-block cache so {!report} can append its hit/miss line.
     [retry_fail_verify] (default
-    false) extends retrying to {!Fail_verify}, for campaigns where
+    false) extends retrying to {!Verdict.Fail_verify}, for campaigns where
     injected silent corruption can forge verification failures. *)
 
 val max_backoff_unit : int
@@ -101,11 +57,11 @@ val max_backoff_unit : int
     backoff saturates here instead of overflowing [1 lsl attempt] on
     large retry counts. *)
 
-val eval : t -> Config.t -> verdict
+val eval : t -> Config.t -> Verdict.verdict
 (** Total classified evaluation with retries. Never raises. *)
 
 val eval_bool : t -> Config.t -> bool
-(** [eval] folded back to the search's view: {!Pass} is [true], everything
+(** [eval] folded back to the search's view: {!Verdict.Pass} is [true], everything
     else [false]. *)
 
 val counters : t -> counters

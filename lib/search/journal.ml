@@ -3,7 +3,7 @@ let header = "# craft-journal v1"
 type t = {
   path : string;
   program : Ir.program;
-  memo : (string, Harness.verdict) Hashtbl.t;
+  memo : (string, Verdict.verdict) Hashtbl.t;
   log : Textlog.t;
   mutable seq : int;  (* tests-so-far column of the next record *)
   mutable replayed : int;
@@ -21,7 +21,7 @@ let parse_line line =
   in
   match String.split_on_char ' ' left |> List.filter (fun s -> s <> "") with
   | [ digest; verdict; seq ] when String.length digest = 16 -> (
-      match (Harness.verdict_of_string verdict, int_of_string_opt seq) with
+      match (Verdict.verdict_of_string verdict, int_of_string_opt seq) with
       | Some v, Some _ -> Some (digest, v)
       | _ -> None)
   | _ -> None
@@ -50,7 +50,7 @@ let verify ~path =
     List.iter
       (fun (digest, v) ->
         bump by_digest digest;
-        bump by_verdict (Harness.verdict_label v))
+        bump by_verdict (Verdict.verdict_label v))
       records;
     let sorted tbl = Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [] |> List.sort compare in
     Ok
@@ -107,7 +107,7 @@ let record_key t key ~summary verdict =
         t.seq <- t.seq + 1;
         t.fresh <- t.fresh + 1;
         Textlog.append t.log
-          (Printf.sprintf "%s %s %d | %s" key (Harness.verdict_to_string verdict) t.seq summary)
+          (Printf.sprintf "%s %s %d | %s" key (Verdict.verdict_to_string verdict) t.seq summary)
       end)
 
 let summary_of cfg =
@@ -131,7 +131,7 @@ let wrap t f cfg =
 let wrap_target t ~harness (target : Bfs.Target.t) =
   let eval cfg =
     match wrap t (Harness.eval harness) cfg with
-    | Harness.Pass -> true
+    | Verdict.Pass -> true
     | _ -> false
   in
   { target with Bfs.Target.eval }

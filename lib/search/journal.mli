@@ -54,13 +54,13 @@ val hits : t -> int
 val fresh : t -> int
 (** Verdicts actually evaluated and appended this session. *)
 
-val lookup : t -> Config.t -> Harness.verdict option
+val lookup : t -> Config.t -> Verdict.verdict option
 
-val record : t -> Config.t -> Harness.verdict -> unit
+val record : t -> Config.t -> Verdict.verdict -> unit
 (** Memoize and append-flush one verdict. A digest already present is not
     re-appended. *)
 
-val wrap : t -> (Config.t -> Harness.verdict) -> Config.t -> Harness.verdict
+val wrap : t -> (Config.t -> Verdict.verdict) -> Config.t -> Verdict.verdict
 (** Memoized view of a classified evaluator: journal hit, or evaluate then
     {!record}. *)
 
@@ -70,7 +70,7 @@ val wrap_target : t -> harness:Harness.t -> Bfs.Target.t -> Bfs.Target.t
     retries), records the verdict, and folds to the search's boolean
     view. *)
 
-val scan : path:string -> (string * Harness.verdict) list
+val scan : path:string -> (string * Verdict.verdict) list
 (** Tolerantly parse a journal file into [(digest, verdict)] pairs, oldest
     first, without opening it for writing. The records carry their own
     configuration digests, so read-only inspection ([craft journal]) needs

@@ -4,9 +4,11 @@ type options = {
   grace : float;
   quarantine_after : int;
   max_worker_loss : int;
-  queue_cap : int;
   poll_interval : float;
 }
+
+(* max undispatched tasks; a submitter blocks past it *)
+let queue_cap = 64
 
 let default_options =
   {
@@ -15,7 +17,6 @@ let default_options =
     grace = 0.5;
     quarantine_after = 2;
     max_worker_loss = 8;
-    queue_cap = 64;
     poll_interval = 0.002;
   }
 
@@ -267,7 +268,6 @@ let create ?(options = default_options) ?(log = ignore) () =
           workers = max 1 options.workers;
           grace = Float.max 0.01 options.grace;
           quarantine_after = max 1 options.quarantine_after;
-          queue_cap = max 1 options.queue_cap;
           poll_interval = Float.max 0.0005 options.poll_interval;
         };
       echo = log;
@@ -358,7 +358,7 @@ let run t thunks =
         List.iter
           (fun task ->
             while
-              t.alive && (not t.is_degraded) && Queue.length t.work >= t.opts.queue_cap
+              t.alive && (not t.is_degraded) && Queue.length t.work >= queue_cap
             do
               Condition.wait t.cond_done t.lock
             done;

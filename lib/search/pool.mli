@@ -5,7 +5,7 @@
     [Domain.join]: a genuinely non-terminating evaluator (hung {e outside}
     the VM step budget) or a dying worker froze the campaign forever, and
     each wave paid the full domain spawn cost. This pool replaces that with
-    [workers] long-lived domains pulling from a bounded task queue, under a
+    [workers] long-lived domains pulling from a task queue bounded at 64, under a
     monitor domain that enforces a per-task {e wall-clock} deadline on top
     of the VM's step budget:
 
@@ -47,7 +47,6 @@ type options = {
   max_worker_loss : int;
       (** total deaths + abandonments before the pool degrades to serial
           (default 8) *)
-  queue_cap : int;  (** bounded queue: max undispatched tasks (default 64) *)
   poll_interval : float;  (** monitor polling period in seconds *)
 }
 

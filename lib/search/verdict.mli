@@ -3,8 +3,7 @@
     The verdict taxonomy and its total classifier live below every other
     search module so that {!Pool} (worker supervision), {!Bfs} (evaluation
     containment) and {!Harness} (retries, counters) can all speak the same
-    language without a dependency cycle. {!Harness} re-exports everything
-    here; existing code using [Harness.Pass] etc. is unaffected. *)
+    language without a dependency cycle. *)
 
 type verdict =
   | Pass  (** ran to completion and verified *)

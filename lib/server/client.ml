@@ -1,7 +1,6 @@
 type t = {
   addr : Server.addr;
   timeout : float option;
-  retry_wall : float;  (* cap on total backoff time per rpc *)
   rng : Rng.t;  (* backoff jitter: keep reconnecting clients desynchronised *)
   lock : Mutex.t;
   mutable fd : Unix.file_descr option;
@@ -9,6 +8,8 @@ type t = {
 }
 
 let sockaddr_of = Server.sockaddr_of
+let retry_delay = 0.2 (* first reconnect pause, doubling and jittered *)
+let retry_wall = 10.0 (* cap on the total reconnect backoff of one rpc *)
 
 let dial ?timeout addr =
   let domain =
@@ -23,7 +24,7 @@ let dial ?timeout addr =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error e
 
-let connect ?(retries = 5) ?(retry_delay = 0.2) ?(retry_wall = 10.0) ?timeout addr =
+let connect ?(retries = 5) ?timeout addr =
   (* a client writing to a daemon that just died must see EPIPE (and ride
      the restart via the retry loop), not die of a process-killing SIGPIPE *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -35,7 +36,6 @@ let connect ?(retries = 5) ?(retry_delay = 0.2) ?(retry_wall = 10.0) ?timeout ad
           {
             addr;
             timeout;
-            retry_wall = Float.max 0.0 retry_wall;
             rng;
             lock = Mutex.create ();
             fd = Some fd;
@@ -99,14 +99,14 @@ let exchange t frame =
   Mutex.protect t.lock (fun () ->
       if not t.open_ then Error (Remote "connection is closed")
       else begin
-        let deadline = Unix.gettimeofday () +. t.retry_wall in
+        let deadline = Unix.gettimeofday () +. retry_wall in
         let backoff delay why fn =
           let pause = delay *. (0.5 +. Rng.uniform t.rng) in
           if Unix.gettimeofday () +. pause > deadline then
             Error
               (Lost
                  (Printf.sprintf "%s: %s (gave up after %.1fs of retries)" fn why
-                    t.retry_wall))
+                    retry_wall))
           else begin
             Thread.delay pause;
             Ok (delay *. 2.0)

@@ -8,7 +8,7 @@
 
     Reconnects are retried with {e jittered} exponential backoff (so many
     clients whose daemon restarts do not stampede it in lockstep) and the
-    total backoff per call is capped by [retry_wall]. Failures where the
+    total backoff per call is capped at 10s. Failures where the
     request provably never left — a refused dial, a failed write — are
     always retried. Once a request has been written, a transport failure
     retries only {e idempotent} frames (every query including Cancel;
@@ -19,19 +19,12 @@
 
 type t
 
-val connect :
-  ?retries:int ->
-  ?retry_delay:float ->
-  ?retry_wall:float ->
-  ?timeout:float ->
-  Server.addr ->
-  (t, string) result
+val connect : ?retries:int -> ?timeout:float -> Server.addr -> (t, string) result
 (** [connect addr] with up to [retries] (default 5) extra attempts spaced
-    [retry_delay] (default 0.2s, doubling, jittered) apart — a
-    just-started daemon may not be listening yet. [retry_wall] (default
-    10s) caps the total backoff later calls spend reconnecting after
-    [ECONNREFUSED]/[EPIPE]. [timeout] (default none) arms a per-reply
-    receive deadline on the socket. Also ignores [SIGPIPE] process-wide,
+    0.2s (doubling, jittered) apart — a just-started daemon may not be
+    listening yet. Later calls spend at most 10s of total backoff
+    reconnecting after [ECONNREFUSED]/[EPIPE]. [timeout] (default none)
+    arms a per-reply receive deadline on the socket. Also ignores [SIGPIPE] process-wide,
     like {!Server.start}: a write to a daemon that just died must surface
     as [EPIPE] and feed the retry loop, not kill the client. *)
 

@@ -111,36 +111,17 @@ let opts_digest (spec : Wire.job_spec) =
    without the lock; takes it only for counters and events. *)
 let run_campaign t j =
   let k = j.kernel in
-  let resumed = j.deaths > 0 || j.recovered in
-  let target =
-    Kernel.target ?eval_steps:j.spec.Wire.eval_steps ~cache:t.cache k
-  in
-  let harness, target = Harness.wrap_target ~retries:t.opts.retries target in
   let program_key = Checkpoint.program_key k.Kernel.program in
   let opts_digest = opts_digest j.spec in
-  let journal, checkpoint =
-    match t.opts.state_dir with
-    | None -> (None, None)
-    | Some root ->
+  let file name =
+    Option.map
+      (fun root ->
         let dir = Filename.concat root j.id in
         Textlog.mkdir_p dir;
-        let journal =
-          Journal.create ~resume:resumed ~path:(Filename.concat dir "journal")
-            k.Kernel.program
-        in
-        let checkpoint =
-          Bfs.checkpoint ~resume:resumed
-            ~save_counters:(fun () ->
-              (* checkpoint saves land on wave boundaries: the natural
-                 per-wave durability point for the journal too *)
-              Journal.sync journal;
-              Harness.counters_list harness)
-            ~restore_counters:(Harness.restore_counters harness)
-            (Filename.concat dir "checkpoint")
-        in
-        (Some journal, Some checkpoint)
+        Filename.concat dir name)
+      t.opts.state_dir
   in
-  let eval cfg =
+  let eval harness cfg =
     let config_digest = Config.digest k.Kernel.program cfg in
     let key = Store.key ~program_key ~opts_digest ~config_digest in
     (* fleet offload happens inside the store's compute closure: only
@@ -175,65 +156,23 @@ let run_campaign t j =
           (Verdict.verdict_label verdict)
           (Config.summarize cfg)
           (if served then " [store]" else if !remote then " [fleet]" else ""));
-    Option.iter (fun jr -> Journal.record jr cfg verdict) journal;
-    verdict = Verdict.Pass
+    verdict
   in
-  let target = { target with Bfs.Target.eval } in
-  let shadow =
-    if not j.spec.Wire.shadow then None
-    else begin
-      Mutex.protect t.lock (fun () -> event t j "SHADOW tracing %s" k.Kernel.name);
-      let tracer =
-        Shadow_tracer.create
-          ~config:(Shadow_tracer.all_single ~base:k.Kernel.hints k.Kernel.program)
-          k.Kernel.program
-      in
-      let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:k.Kernel.setup in
-      let report = Shadow_report.make ~base:k.Kernel.hints k.Kernel.program tracer in
-      let on_pruned cfg div =
-        Option.iter
-          (fun jr ->
-            Journal.record jr cfg
-              (Verdict.Pruned (Printf.sprintf "shadow predicted divergence %.3e" div)))
-          journal
-      in
-      Some (Bfs.shadow ~on_pruned report)
-    end
+  if j.spec.Wire.shadow then
+    Mutex.protect t.lock (fun () -> event t j "SHADOW tracing %s" k.Kernel.name);
+  let formats, strategy =
+    Campaign.recovered ~formats:j.spec.Wire.formats ~strategy:j.spec.Wire.strategy
   in
-  let formats =
-    (* the menu was validated at submission; a WAL-recovered job whose
-       saved menu no longer parses falls back to the single-only default
-       instead of wedging the runner *)
-    match j.spec.Wire.formats with
-    | "" -> Bfs.default_options.Bfs.formats
-    | m -> (
-        match Formats.menu_of_string m with
-        | Ok menu -> menu
-        | Error _ -> Bfs.default_options.Bfs.formats)
+  (* the store is this campaign's memo, so the journal only records *)
+  let res =
+    (Campaign.run ?eval_steps:j.spec.Wire.eval_steps ~cache:t.cache ~retries:t.opts.retries
+       ?shadow:(if j.spec.Wire.shadow then Some Campaign.default_shadow else None)
+       ?journal:(file "journal") ?checkpoint:(file "checkpoint")
+       ~resume:(j.deaths > 0 || j.recovered) ~eval ~pool:t.pool
+       ~stop:(fun () -> Atomic.get j.stop || Atomic.get t.kill)
+       ~workers:t.opts.wave_width ~formats strategy k)
+      .Campaign.result
   in
-  let options =
-    {
-      Bfs.default_options with
-      workers = t.opts.wave_width;
-      base = k.Kernel.hints;
-      pool = Some t.pool;
-      checkpoint;
-      shadow;
-      formats;
-      stop = (fun () -> Atomic.get j.stop || Atomic.get t.kill);
-    }
-  in
-  let strategy =
-    (* validated at submission, like the menu; a WAL-recovered job whose
-       saved token no longer parses falls back to the default bfs *)
-    match Strategy.of_string j.spec.Wire.strategy with
-    | Ok tok -> tok
-    | Error _ -> Strategy.Bfs
-  in
-  let finally () = Option.iter Journal.close journal in
-  (* every strategy runs on the one campaign driver, through the same
-     wrapped eval path (store, fleet offload, journal) *)
-  let res = Fun.protect ~finally (fun () -> Strategy.run ~options strategy target) in
   let summary =
     Printf.sprintf
       "tested %d (%d from store), static %.1f%%, dynamic %.1f%%, %d bits saved, final %s"
@@ -460,21 +399,11 @@ let create ?(options = default_options) ?(log = ignore) ?fleet ~resolve ~pool ~c
 let submit t spec =
   match
     (* a bad formats menu or an unknown strategy token is the submitter's
-       error, caught before the job can queue (and long before a runner
-       would have to guess) *)
-    match
-      match spec.Wire.strategy with
-      | "" -> Ok ()
-      | s -> Result.map (fun (_ : Strategy.token) -> ()) (Strategy.of_string s)
-    with
-    | Error why -> Error why
-    | Ok () -> (
-        match spec.Wire.formats with
-        | "" -> t.resolve spec
-        | m -> (
-            match Formats.menu_of_string m with
-            | Error why -> Error why
-            | Ok _ -> t.resolve spec))
+       error, caught before the job can queue *)
+    Result.bind
+      (Result.map_error Campaign.error_message
+         (Campaign.parse ~formats:spec.Wire.formats ~strategy:spec.Wire.strategy))
+      (fun _ -> t.resolve spec)
   with
   | Error why -> Error (Printf.sprintf "cannot resolve %s.%s: %s" spec.Wire.bench spec.Wire.cls why)
   | Ok kernel ->

@@ -2,7 +2,8 @@
 
     Each submitted {!Wire.job_spec} becomes a job with a per-job journal
     and checkpoint directory, an event stream, and a priority. [max_concurrent]
-    runner threads drive the campaigns; every candidate evaluation flows
+    runner threads drive the campaigns, each built by {!Campaign.run} like
+    an inline [craft search] of the same spec; every candidate evaluation flows
     through the one shared {!Pool} (so the machine's worker domains are a
     single resource, not per-campaign fleets), compiled blocks land in the
     one shared {!Compile.cache}, and verdicts are memoized in the

@@ -103,10 +103,9 @@ let run ?name ?(capacity = 4) ?faults ?chaos ?(log = ignore) ?(dial_retries = 10
         let r =
           match resolve ~bench:b.Wire.bench ~cls:b.Wire.cls with
           | Error why -> Error why
-          | Ok kernel ->
-              let target = Kernel.target ?eval_steps:b.Wire.eval_steps ?faults ~cache kernel in
-              let harness, _ = Harness.wrap_target ~retries:b.Wire.retries target in
-              Ok (kernel.Kernel.program, harness)
+          | Ok k ->
+              let eval_steps = b.Wire.eval_steps and retries = b.Wire.retries in
+              Ok (k.Kernel.program, fst (Campaign.evaluator ?eval_steps ?faults ~cache ~retries k))
         in
         Hashtbl.replace kernels key r;
         r

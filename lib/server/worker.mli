@@ -2,7 +2,8 @@
 
     A worker dials the campaign daemon, introduces itself
     ([Worker_hello]), then loops: lease a batch of configuration
-    evaluations, rebuild the batch's kernel + resilient harness locally,
+    evaluations, rebuild the batch's kernel + resilient harness locally
+    ({!Campaign.evaluator}, the evaluator [craft search] builds),
     evaluate each item, and stream the verdicts back ([Result_push]) —
     heartbeating between items so the {!Fleet} dispatcher can tell a slow
     worker from a dead one. The loop survives a dropped connection by
@@ -15,7 +16,8 @@
 
     Failure injection: [?faults] ({!Vm.Faults}) makes the {e evaluations}
     hostile — the worker's own harness contains those, exactly as the
-    in-process pool does; [?chaos] ({!Chaos}) makes the {e worker}
+    in-process pool does, and retries forged verification failures within
+    the batch's retry budget; [?chaos] ({!Chaos}) makes the {e worker}
     hostile at the transport layer (death mid-batch, heartbeat stalls,
     garbage frames, duplicate deliveries), which only the daemon's fleet
     machinery can contain. *)

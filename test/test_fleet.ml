@@ -453,6 +453,32 @@ let test_worker_skips_unknown_format () =
           checki "connection survived (no rejoins)" 0 s.Worker.rejoins
       | None -> Alcotest.fail "worker never returned stats")
 
+(* A worker armed with transient silent corruption forges verification
+   failures on every first attempt. The daemon's retry budget reaches the
+   worker with the batch, and the campaign recipe extends retries to
+   fail-verify whenever an injector is armed, so the forged failures are
+   retried away instead of being memoized as verdicts. *)
+let test_worker_retries_forged_failures () =
+  let inline = inline_final () in
+  let faults =
+    Faults.create
+      { Faults.seed = 7; rate = 1.0; modes = [ Faults.Corrupt ]; transient = true }
+  in
+  let sched_opts = { Scheduler.default_options with retries = 1 } in
+  with_fleet_stack ~sched_opts (fun sched _ fleet addr ->
+      let stop_flag = Atomic.make false in
+      let th =
+        host_worker ~faults ~name:"corrupt-w0" ~stop:(fun () -> Atomic.get stop_flag) addr
+      in
+      wait_live fleet 1;
+      let id = Result.get_ok (Scheduler.submit sched default_spec) in
+      let _, text, _ = wait_done sched id in
+      Atomic.set stop_flag true;
+      Thread.join th;
+      checkb "the worker evaluated" true ((Fleet.stats fleet).Fleet.remote > 0);
+      checkb "forged failures fired" true (Faults.injected faults > 0);
+      checkb "final = fault-free inline final" true (String.equal text inline))
+
 let suite =
   [
     ("fleet: campaign over 2 workers matches inline", `Quick, test_fleet_matches_inline);
@@ -466,4 +492,6 @@ let suite =
     ("fleet: rejoin with result-store delta sync", `Quick, test_rejoin_delta_sync);
     ("fleet: repeated deaths quarantine the worker", `Quick, test_quarantine_after_repeated_deaths);
     ("fleet: unknown format token skipped, connection survives", `Quick, test_worker_skips_unknown_format);
+    ("fleet: worker retries forged verification failures", `Quick,
+      test_worker_retries_forged_failures);
   ]

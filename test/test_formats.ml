@@ -558,7 +558,7 @@ let test_journal_replay_compat () =
           (match Journal.lookup j cfg_single with
           | Some Verdict.Fail_verify -> ()
           | Some v ->
-              Alcotest.failf "all-single verdict mangled: %s" (Harness.verdict_label v)
+              Alcotest.failf "all-single verdict mangled: %s" (Verdict.verdict_label v)
           | None -> Alcotest.fail "all-single verdict lost on replay");
           (* a lattice config is a miss, not a collision *)
           let cfg_bf16 = all_flag_cfg (Config.of_format Formats.bfloat16) prog in

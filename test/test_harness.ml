@@ -6,7 +6,7 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
 
-let verdict_t = Alcotest.testable Harness.pp_verdict ( = )
+let verdict_t = Alcotest.testable Verdict.pp_verdict ( = )
 
 (* The controlled synthetic target of test_search: [poison] chains use 0.1
    (inexact in binary32, so replacement shifts their output), benign chains
@@ -39,19 +39,19 @@ let synthetic ?eval_steps ?faults ~n_ops ~poison () =
 
 let test_classification () =
   let ev f = Harness.eval (Harness.make f) Config.empty in
-  Alcotest.check verdict_t "pass" Harness.Pass (ev (fun _ -> true));
-  Alcotest.check verdict_t "fail" Harness.Fail_verify (ev (fun _ -> false));
+  Alcotest.check verdict_t "pass" Verdict.Pass (ev (fun _ -> true));
+  Alcotest.check verdict_t "fail" Verdict.Fail_verify (ev (fun _ -> false));
   Alcotest.check verdict_t "trap"
-    (Harness.Trapped (7, "boom"))
+    (Verdict.Trapped (7, "boom"))
     (ev (fun _ -> raise (Vm.Trap (7, "boom"))));
-  Alcotest.check verdict_t "timeout" Harness.Step_timeout
+  Alcotest.check verdict_t "timeout" Verdict.Step_timeout
     (ev (fun _ -> raise (Vm.Limit 5)));
   (match ev (fun _ -> failwith "dead evaluator") with
-  | Harness.Crashed _ -> ()
-  | v -> Alcotest.failf "expected crash, got %a" Harness.pp_verdict v);
+  | Verdict.Crashed _ -> ()
+  | v -> Alcotest.failf "expected crash, got %a" Verdict.pp_verdict v);
   (match ev (fun _ -> raise Stack_overflow) with
-  | Harness.Crashed _ -> ()
-  | v -> Alcotest.failf "expected crash, got %a" Harness.pp_verdict v)
+  | Verdict.Crashed _ -> ()
+  | v -> Alcotest.failf "expected crash, got %a" Verdict.pp_verdict v)
 
 let test_counters_tally () =
   let h = Harness.make (fun _ -> raise (Vm.Trap (1, "x"))) in
@@ -72,19 +72,19 @@ let test_retry_recovers_transient () =
     if !calls = 1 then raise (Vm.Trap (1, "flaky")) else true
   in
   let h = Harness.make ~retries:2 raw in
-  Alcotest.check verdict_t "recovered" Harness.Pass (Harness.eval h Config.empty);
+  Alcotest.check verdict_t "recovered" Verdict.Pass (Harness.eval h Config.empty);
   let c = Harness.counters h in
   checki "one retry" 1 c.Harness.retried;
   checki "two attempts" 2 c.Harness.attempts;
   (* without retries the flaky verdict is final *)
   calls := 0;
   let h0 = Harness.make ~retries:0 raw in
-  Alcotest.check verdict_t "no retry" (Harness.Trapped (1, "flaky"))
+  Alcotest.check verdict_t "no retry" (Verdict.Trapped (1, "flaky"))
     (Harness.eval h0 Config.empty)
 
 let test_backoff_deterministic () =
   let h = Harness.make ~retries:3 ~backoff:2 (fun _ -> raise (Vm.Limit 1)) in
-  Alcotest.check verdict_t "still timeout" Harness.Step_timeout
+  Alcotest.check verdict_t "still timeout" Verdict.Step_timeout
     (Harness.eval h Config.empty);
   let c = Harness.counters h in
   checki "attempts" 4 c.Harness.attempts;
@@ -99,36 +99,36 @@ let test_retry_fail_verify_opt_in () =
     !calls > 1
   in
   let h = Harness.make ~retries:1 raw in
-  Alcotest.check verdict_t "fail is final by default" Harness.Fail_verify
+  Alcotest.check verdict_t "fail is final by default" Verdict.Fail_verify
     (Harness.eval h Config.empty);
   calls := 0;
   let h' = Harness.make ~retries:1 ~retry_fail_verify:true raw in
-  Alcotest.check verdict_t "retried to pass" Harness.Pass (Harness.eval h' Config.empty)
+  Alcotest.check verdict_t "retried to pass" Verdict.Pass (Harness.eval h' Config.empty)
 
 (* ------------------------------------------------- serialization *)
 
 let test_verdict_string_roundtrip () =
   List.iter
     (fun v ->
-      match Harness.verdict_of_string (Harness.verdict_to_string v) with
+      match Verdict.verdict_of_string (Verdict.verdict_to_string v) with
       | Some v' -> Alcotest.check verdict_t "roundtrip" v v'
       | None ->
-          Alcotest.failf "did not parse back: %s" (Harness.verdict_to_string v))
+          Alcotest.failf "did not parse back: %s" (Verdict.verdict_to_string v))
     [
-      Harness.Pass;
-      Harness.Fail_verify;
-      Harness.Step_timeout;
-      Harness.Trapped (31, "replaced operand reaches a double-precision op");
-      Harness.Trapped (0, "odd chars: 100% | a:b\ttab");
-      Harness.Crashed "Failure(\"injected fault: evaluator crash\")";
+      Verdict.Pass;
+      Verdict.Fail_verify;
+      Verdict.Step_timeout;
+      Verdict.Trapped (31, "replaced operand reaches a double-precision op");
+      Verdict.Trapped (0, "odd chars: 100% | a:b\ttab");
+      Verdict.Crashed "Failure(\"injected fault: evaluator crash\")";
     ];
-  checkb "malformed trap" true (Harness.verdict_of_string "trap:zz" = None);
-  checkb "garbage" true (Harness.verdict_of_string "bogus" = None);
+  checkb "malformed trap" true (Verdict.verdict_of_string "trap:zz" = None);
+  checkb "garbage" true (Verdict.verdict_of_string "bogus" = None);
   (* tokens must stay single-field for the journal line format *)
   checkb "no spaces" true
     (not
        (String.contains
-          (Harness.verdict_to_string (Harness.Trapped (1, "a b c")))
+          (Verdict.verdict_to_string (Verdict.Trapped (1, "a b c")))
           ' '))
 
 let test_fault_spec_roundtrip () =
@@ -228,7 +228,7 @@ let test_defensive_domain_join () =
 let test_step_budget_times_out () =
   let _, target = synthetic ~eval_steps:10 ~n_ops:8 ~poison:[] () in
   let h = Harness.make target.Bfs.Target.raw_eval in
-  Alcotest.check verdict_t "budget blowout classified" Harness.Step_timeout
+  Alcotest.check verdict_t "budget blowout classified" Verdict.Step_timeout
     (Harness.eval h Config.empty)
 
 let test_vm_double_run_guard () =
@@ -280,27 +280,27 @@ let test_journal_roundtrip () =
       let cfg1 = Config.set_insn Config.empty cands.(0).Static.addr Config.Single in
       let cfg2 = Config.set_module Config.empty "syn" Config.Single in
       let j = Journal.create ~path prog in
-      Journal.record j cfg1 Harness.Pass;
-      Journal.record j cfg2 (Harness.Trapped (12, "replaced operand reaches a double-precision op"));
-      Journal.record j Config.empty Harness.Step_timeout;
+      Journal.record j cfg1 Verdict.Pass;
+      Journal.record j cfg2 (Verdict.Trapped (12, "replaced operand reaches a double-precision op"));
+      Journal.record j Config.empty Verdict.Step_timeout;
       (* duplicate digests are not re-appended *)
-      Journal.record j cfg1 Harness.Fail_verify;
+      Journal.record j cfg1 Verdict.Fail_verify;
       checki "entries" 3 (Journal.entries j);
       Journal.close j;
       let j2 = Journal.create ~resume:true ~path prog in
       checki "replayed" 3 (Journal.replayed j2);
-      checkb "verdict survives" true (Journal.lookup j2 cfg1 = Some Harness.Pass);
+      checkb "verdict survives" true (Journal.lookup j2 cfg1 = Some Verdict.Pass);
       checkb "payload survives" true
         (Journal.lookup j2 cfg2
-        = Some (Harness.Trapped (12, "replaced operand reaches a double-precision op")));
-      checkb "timeout survives" true (Journal.lookup j2 Config.empty = Some Harness.Step_timeout);
+        = Some (Verdict.Trapped (12, "replaced operand reaches a double-precision op")));
+      checkb "timeout survives" true (Journal.lookup j2 Config.empty = Some Verdict.Step_timeout);
       Journal.close j2)
 
 let test_journal_tolerates_garbage () =
   with_temp_journal (fun path ->
       let prog, _ = synthetic ~n_ops:4 ~poison:[] () in
       let j = Journal.create ~path prog in
-      Journal.record j Config.empty Harness.Pass;
+      Journal.record j Config.empty Verdict.Pass;
       Journal.close j;
       (* corrupt the file: a garbage middle line and a truncated last record *)
       let oc = open_out_gen [ Open_append ] 0o644 path in
@@ -309,7 +309,7 @@ let test_journal_tolerates_garbage () =
       close_out oc;
       let j2 = Journal.create ~resume:true ~path prog in
       checki "only the valid record survives" 1 (Journal.replayed j2);
-      checkb "lookup works" true (Journal.lookup j2 Config.empty = Some Harness.Pass);
+      checkb "lookup works" true (Journal.lookup j2 Config.empty = Some Verdict.Pass);
       Journal.close j2)
 
 (* write -> interrupt mid-campaign (journal truncated to a prefix plus a
@@ -376,7 +376,7 @@ let test_backoff_clamped_at_ceiling () =
   (* a large retry budget with a huge base must saturate each modeled delay
      at the documented ceiling instead of overflowing [1 lsl attempt] *)
   let h = Harness.make ~retries:80 ~backoff:max_int (fun _ -> raise (Vm.Limit 1)) in
-  Alcotest.check verdict_t "still timeout" Harness.Step_timeout
+  Alcotest.check verdict_t "still timeout" Verdict.Step_timeout
     (Harness.eval h Config.empty);
   let c = Harness.counters h in
   checki "all retries performed" 80 c.Harness.retried;
@@ -403,20 +403,20 @@ let test_verdict_roundtrip_fuzz =
     QCheck2.Gen.(
       oneof
         [
-          return Harness.Pass;
-          return Harness.Fail_verify;
-          return Harness.Step_timeout;
-          map (fun (a, s) -> Harness.Trapped (abs a, s)) (pair small_nat payload);
-          map (fun s -> Harness.Crashed s) payload;
+          return Verdict.Pass;
+          return Verdict.Fail_verify;
+          return Verdict.Step_timeout;
+          map (fun (a, s) -> Verdict.Trapped (abs a, s)) (pair small_nat payload);
+          map (fun s -> Verdict.Crashed s) payload;
         ])
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:500 ~name:"verdict roundtrip survives hostile payloads" gen
        (fun v ->
-         let s = Harness.verdict_to_string v in
+         let s = Verdict.verdict_to_string v in
          (* single journal-field token: no reserved separator leaks through *)
          (not (String.exists (fun c -> c = ' ' || c = '|' || c = '\n' || c = '\t') s))
-         && Harness.verdict_of_string s = Some v))
+         && Verdict.verdict_of_string s = Some v))
 
 let test_journal_trailing_corruption_fuzz =
   let gen =
@@ -429,9 +429,9 @@ let test_journal_trailing_corruption_fuzz =
              let prog, _ = synthetic ~n_ops:4 ~poison:[ 1 ] () in
              let cands = Static.candidates prog in
              let cfg1 = Config.set_insn Config.empty cands.(0).Static.addr Config.Single in
-             let crash = Harness.Crashed "odd: 100% | x\ty" in
+             let crash = Verdict.Crashed "odd: 100% | x\ty" in
              let j = Journal.create ~path prog in
-             Journal.record j Config.empty Harness.Pass;
+             Journal.record j Config.empty Verdict.Pass;
              Journal.record j cfg1 crash;
              Journal.close j;
              (* simulate a crash mid-append: garbage / a truncated half-record
@@ -443,7 +443,7 @@ let test_journal_trailing_corruption_fuzz =
              let j2 = Journal.create ~resume:true ~path prog in
              let ok =
                Journal.replayed j2 >= 2
-               && Journal.lookup j2 Config.empty = Some Harness.Pass
+               && Journal.lookup j2 Config.empty = Some Verdict.Pass
                && Journal.lookup j2 cfg1 = Some crash
              in
              Journal.close j2;

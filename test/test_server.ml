@@ -303,6 +303,31 @@ let test_poison_job_quarantine () =
       checkb "job state dir exists" true (Sys.file_exists (Filename.concat dir id)));
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
+(* A served shadow job runs the recipe's campaign with the recipe's shadow
+   defaults, pruning included: the same evaluations and the same final as
+   the recipe run inline with the scheduler's wave width and pool. *)
+let test_served_shadow_matches_inline () =
+  let k = Nas_cg.make Kernel.W in
+  let inline =
+    let pool = Pool.create ~options:{ Pool.default_options with workers = 2 } () in
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        (Campaign.run ~shadow:Campaign.default_shadow ~pool
+           ~workers:Scheduler.default_options.Scheduler.wave_width
+           ~formats:Bfs.default_options.Bfs.formats Strategy.Bfs k)
+          .Campaign.result)
+  in
+  checkb "the recipe pruned" true (inline.Bfs.pruned > 0);
+  with_stack ~resolve:(fun _ -> Ok k) (fun sched _ ->
+      let spec = { default_spec with Wire.bench = "cg"; shadow = true } in
+      let id = Result.get_ok (Scheduler.submit sched spec) in
+      let status, text, _ = wait_done sched id in
+      checkb "done" true (status.Wire.state = Wire.Done);
+      checki "served tested = inline tested" inline.Bfs.tested status.Wire.tested;
+      checkb "served final = inline final" true
+        (String.equal text (Config.print k.Kernel.program inline.Bfs.final)))
+
 let test_resolve_rejection () =
   with_stack
     ~resolve:(fun spec ->
@@ -479,6 +504,8 @@ let suite =
       test_concurrent_campaigns_evaluate_once );
     ("scheduler: priorities and cancellation", `Quick, test_priorities_and_cancel);
     ("scheduler: poison job is quarantined", `Quick, test_poison_job_quarantine);
+    ("scheduler: served shadow job matches the recipe inline", `Quick,
+      test_served_shadow_matches_inline);
     ("scheduler: resolve rejection and unknown jobs", `Quick, test_resolve_rejection);
     ("daemon: submit/watch/result over a socket", `Quick, test_daemon_over_socket);
     ("daemon: survives hostile clients", `Quick, test_daemon_survives_hostile_client);

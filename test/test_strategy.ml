@@ -79,6 +79,23 @@ let test_tokens () =
   checks "default seed prints bare" "anneal"
     (Strategy.to_string (Strategy.Anneal Strategy.default_seed))
 
+(* The recipe's validation: each field fails with its own typed error,
+   and a recovered job falls back field by field instead of failing *)
+let test_campaign_validation () =
+  let single = Bfs.default_options.Bfs.formats in
+  checkb "defaults" true (Campaign.parse ~formats:"" ~strategy:"" = Ok (single, Strategy.Bfs));
+  (match Campaign.parse ~formats:"bf16,zz9" ~strategy:"split" with
+  | Error (Campaign.Bad_formats why) -> checkb "names the format" true (contains why "zz9")
+  | _ -> Alcotest.fail "bad menu accepted");
+  (match Campaign.parse ~formats:"bf16" ~strategy:"ddmax" with
+  | Error (Campaign.Bad_strategy _ as e) ->
+      checkb "names the token" true (contains (Campaign.error_message e) "ddmax")
+  | _ -> Alcotest.fail "bad strategy accepted");
+  checkb "recovered menu falls back alone" true
+    (Campaign.recovered ~formats:"zz9" ~strategy:"delta" = (single, Strategy.Delta));
+  checkb "recovered token falls back alone" true
+    (snd (Campaign.recovered ~formats:"bf16" ~strategy:"zz9") = Strategy.Bfs)
+
 (* ----------------------------------------------------------- helpers *)
 
 (* wrap both evaluation entry points so every configuration tested is
@@ -603,6 +620,7 @@ let test_bfs_resumes_untagged_snapshot_via_strategy_run () =
 let suite =
   [
     ("strategy: token parse/print", `Quick, test_tokens);
+    ("strategy: campaign spec validation and recovery fallback", `Quick, test_campaign_validation);
     ("strategy: split/delta/anneal find the known answer", `Quick, test_machines_find_the_answer);
     ("strategy: machines survive an all-poisoned kernel", `Quick, test_machines_all_poisoned);
     ("strategy: anneal seed is deterministic across eval paths", `Quick, test_anneal_determinism);
