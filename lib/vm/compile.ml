@@ -32,9 +32,10 @@ type cterm =
 (* The per-frame execution environment a compiled closure runs against.
    Everything a closure touches at runtime lives here; everything else
    (operand registers, precision mode, bounds, checked-mode tests, trap
-   reasons, constants) was resolved when the closure was built. [exec] is
-   the run's own call-into-function entry point, threaded through the
-   environment so cached closures capture no per-run state.
+   reasons, constants) was resolved when the closure was built.  [lf] is
+   the function the frame runs and [rs] the run-wide state, so cached
+   closures capture no per-run state.  Each function keeps one spare frame
+   per run ([rs.spare]), reused while not [busy].
 
    Closures do not maintain [Vm.counts]: a block's instructions execute
    exactly [bcounts] times each, except in the one partially-completed
@@ -51,10 +52,17 @@ type env = {
   ir : int array;
   fheap : float array;
   iheap : int array;
-  lfuncs : lfunc array;
-  exec : lfunc -> float array -> int array -> float array * int array;
+  lf : lfunc;
+  rs : rstate;
+  mutable busy : bool;
   mutable cur_bidx : int;
   mutable cur_k : int;
+}
+
+and rstate = {
+  lfuncs : lfunc array;
+  spare : env option array;  (** per function: its reusable frame *)
+  watchdog : (Vm.t -> int -> unit) option;
 }
 
 and cblock = {
@@ -102,98 +110,15 @@ let trap addr reason = raise (Vm.Trap (addr, reason))
 
 let oob = "heap access out of bounds"
 
-(* binary32 round of a double, bit-exact with F32.round *)
-let[@inline] round32 x = Int32.float_of_bits (Int32.bits_of_float x)
+(* The replaced-value test, bit-identical to [Replaced.is_replaced].  A
+   sentinel pattern is a NaN, so the pure-OCaml [v <> v] runs first and the
+   bit test (an external C call without flambda) only runs on NaNs: a
+   checked double operand passes with no call at all.  The logical shift
+   lands in [0, 2^32), where [Int64.to_int] is exact. *)
+let[@inline] is_rep (v : float) =
+  v <> v && Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 32) = 0x7FF4DEAD
 
-(* low-32-bit extraction of a replaced encoding, bit-exact with
-   Vm's extract32 *)
-let[@inline] x32 v = Int32.float_of_bits (Int64.to_int32 (Int64.bits_of_float v))
-
-(* Local, inlinable copies of the Replaced bit tests.  Without flambda a
-   cross-module call cannot be inlined, so every [Replaced.is_replaced] in a
-   closure body boxes its float argument and its Int64 intermediates; these
-   formulations compile to straight-line unboxed code.  [is_rep] compares the
-   high word as a native int: the logical shift lands in [0, 2^32), where
-   [Int64.to_int] is exact, so the int equality is bit-identical to
-   [Replaced.is_replaced]. *)
-let[@inline] is_rep v =
-  Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float v) 32) = 0x7FF4DEAD
-
-(* bit-exact with [Replaced.encode] / [Replaced.downcast] *)
-let[@inline] enc x =
-  Int64.float_of_bits
-    (Int64.logor 0x7FF4DEAD00000000L
-       (Int64.logand (Int64.of_int32 (Int32.bits_of_float x)) 0xFFFF_FFFFL))
-
-(* checked D-operand fetch *)
-let[@inline] dchk addr v =
-  if is_rep v then trap addr "replaced operand reaches a double-precision op"
-  else v
-
-(* checked Flagged S-operand fetch *)
-let[@inline] schk addr v =
-  if not (is_rep v) then
-    trap addr "unreplaced operand reaches a single-precision op"
-  else x32 v
-
-(* checked Plain S-operand fetch *)
-let[@inline] pchk addr v =
-  if is_rep v then trap addr "replaced operand in a plain-single binary"
-  else round32 v
-
-(* S-operand fetch for the non-specialized paths, resolved once per instr *)
-let s_fetch ~plain ~checked addr : float -> float =
-  match (plain, checked) with
-  | false, false -> x32
-  | false, true -> schk addr
-  | true, false -> round32
-  | true, true -> pchk addr
-
-let s_store ~plain : float -> float = if plain then Fun.id else enc
-
-(* Reduced-format [E] operand fetch: identical to the S shapes in Flagged
-   mode (the payload is a binary32 sentinel either way), format-grid round
-   in Plain mode. Trap reasons match Vm.ope exactly — the differential
-   suite compares verdicts bit-for-bit. *)
-let e_fetch ~plain ~checked fmt addr : float -> float =
-  match (plain, checked) with
-  | false, false -> x32
-  | false, true ->
-      fun v ->
-        if not (is_rep v) then
-          trap addr "unreplaced operand reaches a reduced-precision op"
-        else x32 v
-  | true, false -> Formats.round fmt
-  | true, true ->
-      fun v ->
-        if is_rep v then trap addr "replaced operand in a plain reduced-precision binary"
-        else Formats.round fmt v
-
-(* Every F32 binary/unary op is (binary32 round) of the host double op, so
-   S-precision compute compiles to [round32 (double_fn ...)]. *)
-let fbin_fn (o : Ir.fbinop) : float -> float -> float =
-  match o with
-  | Add -> ( +. )
-  | Sub -> ( -. )
-  | Mul -> ( *. )
-  | Div -> ( /. )
-  | Min -> Float.min
-  | Max -> Float.max
-
-let funop_fn (o : Ir.funop) : float -> float =
-  match o with Sqrt -> sqrt | Neg -> ( ~-. ) | Abs -> Float.abs
-
-let flibm_fn (o : Ir.flibm) : float -> float =
-  match o with Sin -> sin | Cos -> cos | Tan -> tan | Exp -> exp | Log -> log | Atan -> atan
-
-let cmp_fn (c : Ir.cmpop) : float -> float -> bool =
-  match c with
-  | Eq -> fun x y -> x = y
-  | Ne -> fun x y -> x <> y
-  | Lt -> fun x y -> x < y
-  | Le -> fun x y -> x <= y
-  | Gt -> fun x y -> x > y
-  | Ge -> fun x y -> x >= y
+let dreason = "replaced operand reaches a double-precision op"
 
 (* Register accesses in closure bodies are unsafe: every register operand of
    every instruction was range-checked against the function's frame sizes
@@ -204,93 +129,202 @@ let[@inline] sf e i v = Array.unsafe_set e.fr i v
 let[@inline] gi e i = Array.unsafe_get e.ir i
 let[@inline] si e i v = Array.unsafe_set e.ir i v
 
+(* D-operand fetch under the block's checked mode; sequenced, not
+   [if .. then trap .. else v], whose let-bound result would be boxed *)
+let[@inline] dget checked addr e r =
+  let v = gf e r in
+  if checked && is_rep v then trap addr dreason;
+  v
+
+let[@inline] fl b = if b then 1 else 0
+
+(* ---------------------------------------------------------------- op kernels *)
+
+(* Every S and E operation is one [@@noalloc] C kernel call (opkernels.c),
+   and so are the double shapes with no inline arm (min/max, packed): a
+   double op is a plain op whose rounding is the identity.  A kernel
+   returns nonzero on a checked-mode operand fault, having written nothing;
+   the closure raises the trap.  The code word packs the op (bits 0–3),
+   checked (16), plain (32), packed (64) and the rounding format (bits
+   8–16: ebits, mbits; ebits 0 = binary32, 15 = double). *)
+external k_fbin :
+  float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) = "craft_k_fbin_byte" "craft_k_fbin"
+[@@noalloc]
+
+external k_fun :
+  float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "craft_k_fun_byte" "craft_k_fun"
+[@@noalloc]
+
+external k_fcmp :
+  float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "craft_k_fcmp_byte" "craft_k_fcmp"
+[@@noalloc]
+
+external k_i2f : float array -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "craft_k_i2f_byte" "craft_k_i2f"
+[@@noalloc]
+
+external k_widen : (float[@unboxed]) -> (int[@untagged]) -> (float[@unboxed])
+  = "craft_k_widen_byte" "craft_k_widen"
+[@@noalloc]
+
+let packed = 64
+let k_downcast = 9
+let k_upcast = 10
+
+let kcode ~checked ~plain (p : Ir.prec) op =
+  let fmt, plain =
+    match p with
+    | D -> (15, true)
+    | E (eb, mb) when not (eb = 8 && mb = 23) ->
+        let f = Formats.make ~ebits:eb ~mbits:mb in
+        (f.ebits lor (f.mbits lsl 4), plain)
+    | _ -> (0, plain) (* S, and e8m23, which Formats.round sends through F32.round *)
+  in
+  op lor (if checked then 16 else 0) lor (if plain then 32 else 0) lor (fmt lsl 8)
+
+(* trap reasons, matching Vm.opd / Vm.ops / Vm.ope exactly *)
+let kreason ~plain (p : Ir.prec) =
+  match (p, plain) with
+  | D, _ -> dreason
+  | E _, false -> "unreplaced operand reaches a reduced-precision op"
+  | E _, true -> "replaced operand in a plain reduced-precision binary"
+  | S, false -> "unreplaced operand reaches a single-precision op"
+  | S, true -> "replaced operand in a plain-single binary"
+
+let fbin_op : Ir.fbinop -> int = function
+  | Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Min -> 4 | Max -> 5
+
+let funop_op : Ir.funop -> int = function Sqrt -> 0 | Neg -> 1 | Abs -> 2
+
+let flibm_op : Ir.flibm -> int = function
+  | Sin -> 3 | Cos -> 4 | Tan -> 5 | Exp -> 6 | Log -> 7 | Atan -> 8
+
+let cmp_op : Ir.cmpop -> int = function
+  | Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5
+
+(* ----------------------------------------------------------- block driver *)
+
+(* [go]/[go_w] run a frame from block [bidx] until [Ret]; [go_w] also
+   heartbeats the watchdog per block (per instruction in the interpreter,
+   the label standing in for the address), so the common no-watchdog case
+   pays no per-block match.  [bcounts] and the [Br] register access are
+   unsafe: any program containing a cached block has a [bcounts] array
+   longer than that block's label, and the [Br] register was range-checked
+   by [check_registers].  [cur_bidx]/[cur_k] record how far the current
+   block got — the instruction the frame is executing is already counted
+   (the interpreter bumps before it runs), everything after it is not. *)
+let[@inline] enter e bidx =
+  let cb = Array.unsafe_get e.lf.cblocks bidx in
+  let t = e.t in
+  e.cur_bidx <- bidx;
+  e.cur_k <- -1;
+  let bc = t.Vm.bcounts and l = cb.clabel in
+  Array.unsafe_set bc l (Array.unsafe_get bc l + 1);
+  t.Vm.steps <- t.Vm.steps + cb.nsteps;
+  if t.Vm.steps > t.Vm.max_steps then raise (Vm.Limit t.Vm.max_steps);
+  cb
+
+(* the block body, then the successor block index (-1 on [Ret]) *)
+let[@inline] body_then_next e cb =
+  let body = cb.body in
+  for k = 0 to Array.length body - 1 do
+    e.cur_k <- k;
+    (Array.unsafe_get body k) e
+  done;
+  match cb.cterm with
+  | CJmp tgt -> tgt
+  | CBr (r, th, el) -> if gi e r <> 0 then th else el
+  | CTestBr { addr = _; tf; src; th; el } ->
+      let rep = is_rep (gf e src) in
+      si e tf (fl rep);
+      if rep then th else el
+  | CIcmpBr { c; addr = _; d; a; b; th; el } ->
+      let x = gi e a and y = gi e b in
+      let v =
+        match c with
+        | Eq -> x = y
+        | Ne -> x <> y
+        | Lt -> x < y
+        | Le -> x <= y
+        | Gt -> x > y
+        | Ge -> x >= y
+      in
+      si e d (fl v);
+      if v then th else el
+  | CRet -> -1
+
+let rec go e bidx =
+  let n = body_then_next e (enter e bidx) in
+  if n >= 0 then go e n
+
+let rec go_w w e bidx =
+  let cb = enter e bidx in
+  w e.t cb.clabel;
+  let n = body_then_next e cb in
+  if n >= 0 then go_w w e n
+
+(* Run a frame from its entry block.  On an abort, retract the counts of
+   the frame's current block for the instructions it did not reach, so the
+   final bcounts-based reconstruction yields exactly the interpreter's
+   per-instruction counts. *)
+let exec e =
+  let entry = e.lf.src.Ir.entry in
+  try match e.rs.watchdog with None -> go e entry | Some w -> go_w w e entry
+  with ex ->
+    let counts = e.t.Vm.counts and ia = (Array.unsafe_get e.lf.cblocks e.cur_bidx).iaddrs in
+    for i = e.cur_k + 1 to Array.length ia - 1 do
+      let a = Array.unsafe_get ia i in
+      counts.(a) <- counts.(a) - 1
+    done;
+    raise ex
+
+let fresh_frame (e : env) lf =
+  let f = lf.src in
+  let fr = Array.make f.Ir.n_fregs 0.0 and ir = Array.make f.Ir.n_iregs 0 in
+  { e with fr; ir; lf; busy = true; cur_bidx = f.Ir.entry; cur_k = -1 }
+
+(* The callee's frame: its spare when free (zero-filled, as a fresh frame
+   would be), a fresh one under recursion. *)
+let frame e callee =
+  let rs = e.rs in
+  match rs.spare.(callee) with
+  | Some ce when not ce.busy ->
+      let fr = ce.fr and ir = ce.ir in
+      for i = 0 to Array.length fr - 1 do Array.unsafe_set fr i 0.0 done;
+      for i = 0 to Array.length ir - 1 do Array.unsafe_set ir i 0 done;
+      ce.busy <- true;
+      ce
+  | Some _ -> fresh_frame e rs.lfuncs.(callee)
+  | None ->
+      let ce = fresh_frame e rs.lfuncs.(callee) in
+      rs.spare.(callee) <- Some ce;
+      ce
+
+(* arguments and returns copy register to register; the caller's side was
+   range-checked with the block, the callee's side is checked here *)
+let call e callee fargs iargs frets irets =
+  let ce = frame e callee in
+  let cf = ce.fr and ci = ce.ir in
+  for k = 0 to Array.length fargs - 1 do
+    cf.(k) <- gf e (Array.unsafe_get fargs k)
+  done;
+  for k = 0 to Array.length iargs - 1 do
+    ci.(k) <- gi e (Array.unsafe_get iargs k)
+  done;
+  exec ce;
+  let f = ce.lf.src in
+  for k = 0 to Array.length frets - 1 do
+    sf e (Array.unsafe_get frets k) cf.(f.Ir.ret_fregs.(k))
+  done;
+  for k = 0 to Array.length irets - 1 do
+    si e (Array.unsafe_get irets k) ci.(f.Ir.ret_iregs.(k))
+  done;
+  ce.busy <- false
+
 (* ------------------------------------------------- per-instruction closures *)
-
-(* Scalar Fbin arms are written out in full for the hot combinations
-   (register indices, checked tests and encode/extract steps all burned
-   into one straight-line closure); colder shapes go through the resolved
-   [fetch]/[fn]/[store] functions. *)
-
-let compile_fbin_d ~checked addr (o : Ir.fbinop) d a b : env -> unit =
-  if checked then
-    match o with
-    | Add -> fun e -> sf e d (dchk addr (gf e a) +. dchk addr (gf e b))
-    | Sub -> fun e -> sf e d (dchk addr (gf e a) -. dchk addr (gf e b))
-    | Mul -> fun e -> sf e d (dchk addr (gf e a) *. dchk addr (gf e b))
-    | Div -> fun e -> sf e d (dchk addr (gf e a) /. dchk addr (gf e b))
-    | Min -> fun e -> sf e d (Float.min (dchk addr (gf e a)) (dchk addr (gf e b)))
-    | Max -> fun e -> sf e d (Float.max (dchk addr (gf e a)) (dchk addr (gf e b)))
-  else
-    match o with
-    | Add -> fun e -> sf e d ((gf e a) +. (gf e b))
-    | Sub -> fun e -> sf e d ((gf e a) -. (gf e b))
-    | Mul -> fun e -> sf e d ((gf e a) *. (gf e b))
-    | Div -> fun e -> sf e d ((gf e a) /. (gf e b))
-    | Min -> fun e -> sf e d (Float.min (gf e a) (gf e b))
-    | Max -> fun e -> sf e d (Float.max (gf e a) (gf e b))
-
-let compile_fbin_s ~checked ~plain addr (o : Ir.fbinop) d a b : env -> unit =
-  if not plain then
-    if checked then
-      match o with
-      | Add -> fun e -> sf e d (enc (round32 (schk addr (gf e a) +. schk addr (gf e b))))
-      | Sub -> fun e -> sf e d (enc (round32 (schk addr (gf e a) -. schk addr (gf e b))))
-      | Mul -> fun e -> sf e d (enc (round32 (schk addr (gf e a) *. schk addr (gf e b))))
-      | Div -> fun e -> sf e d (enc (round32 (schk addr (gf e a) /. schk addr (gf e b))))
-      | Min -> fun e -> sf e d (enc (round32 (Float.min (schk addr (gf e a)) (schk addr (gf e b)))))
-      | Max -> fun e -> sf e d (enc (round32 (Float.max (schk addr (gf e a)) (schk addr (gf e b)))))
-    else
-      match o with
-      | Add -> fun e -> sf e d (enc (round32 (x32 (gf e a) +. x32 (gf e b))))
-      | Sub -> fun e -> sf e d (enc (round32 (x32 (gf e a) -. x32 (gf e b))))
-      | Mul -> fun e -> sf e d (enc (round32 (x32 (gf e a) *. x32 (gf e b))))
-      | Div -> fun e -> sf e d (enc (round32 (x32 (gf e a) /. x32 (gf e b))))
-      | Min -> fun e -> sf e d (enc (round32 (Float.min (x32 (gf e a)) (x32 (gf e b)))))
-      | Max -> fun e -> sf e d (enc (round32 (Float.max (x32 (gf e a)) (x32 (gf e b)))))
-  else
-    (* Plain mode only runs manually-converted binaries (run_converted);
-       not a search hot path, so resolved functions suffice *)
-    let fetch = s_fetch ~plain ~checked addr and fn = fbin_fn o in
-    fun e -> sf e d (round32 (fn (fetch (gf e a)) (fetch (gf e b))))
-
-let compile_fbinp ~checked ~plain addr (p : Ir.prec) (o : Ir.fbinop) d a b : env -> unit =
-  (* both lanes read before either write — element-wise packed semantics,
-     matching the interpreter's fixed Fbinp *)
-  match p with
-  | D ->
-      let fn = fbin_fn o in
-      if checked then
-        fun e ->
-          let x0 = dchk addr (gf e a) and y0 = dchk addr (gf e b) in
-          let x1 = dchk addr (gf e (a + 1)) and y1 = dchk addr (gf e (b + 1)) in
-          sf e d (fn x0 y0);
-          sf e (d + 1) (fn x1 y1)
-      else
-        fun e ->
-          let x0 = (gf e a) and y0 = (gf e b) in
-          let x1 = (gf e (a + 1)) and y1 = (gf e (b + 1)) in
-          sf e d (fn x0 y0);
-          sf e (d + 1) (fn x1 y1)
-  | S ->
-      let fetch = s_fetch ~plain ~checked addr
-      and fn = fbin_fn o
-      and st = s_store ~plain in
-      fun e ->
-        let x0 = fetch (gf e a) and y0 = fetch (gf e b) in
-        let x1 = fetch (gf e (a + 1)) and y1 = fetch (gf e (b + 1)) in
-        sf e d (st (round32 (fn x0 y0)));
-        sf e (d + 1) (st (round32 (fn x1 y1)))
-  | E (eb, mb) ->
-      let fmt = Formats.make ~ebits:eb ~mbits:mb in
-      let fetch = e_fetch ~plain ~checked fmt addr
-      and rnd = Formats.round fmt
-      and fn = fbin_fn o
-      and st = s_store ~plain in
-      fun e ->
-        let x0 = fetch (gf e a) and y0 = fetch (gf e b) in
-        let x1 = fetch (gf e (a + 1)) and y1 = fetch (gf e (b + 1)) in
-        sf e d (st (rnd (fn x0 y0)));
-        sf e (d + 1) (st (rnd (fn x1 y1)))
 
 (* loads/stores: addressing shape and bounds are burned in; the heap access
    is unsafe after the explicit bounds test (heap length = the witness's
@@ -404,121 +438,97 @@ let compile_icmp _addr (c : Ir.cmpop) d a b : env -> unit =
 
 let compile_instr ~checked ~plain ~nf ~ni ({ addr; op } : Ir.instr) : env -> unit =
   match op with
-  | Fbin (D, o, d, a, b) -> compile_fbin_d ~checked addr o d a b
-  | Fbin (S, o, d, a, b) -> compile_fbin_s ~checked ~plain addr o d a b
-  | Fbin (E (eb, mb), o, d, a, b) ->
-      (* format and rounding resolved at compile time; the body is the S
-         shape with the binary32 round swapped for the format-grid round *)
-      let fmt = Formats.make ~ebits:eb ~mbits:mb in
-      let fetch = e_fetch ~plain ~checked fmt addr
-      and rnd = Formats.round fmt
-      and fn = fbin_fn o
-      and st = s_store ~plain in
-      fun e -> sf e d (st (rnd (fn (fetch (gf e a)) (fetch (gf e b)))))
-  | Fbinp (p, o, d, a, b) -> compile_fbinp ~checked ~plain addr p o d a b
-  | Funop (D, o, d, a) ->
-      let fn = funop_fn o in
-      if checked then fun e -> sf e d (fn (dchk addr (gf e a)))
-      else fun e -> sf e d (fn (gf e a))
-  | Funop (S, o, d, a) ->
-      let fetch = s_fetch ~plain ~checked addr
-      and fn = funop_fn o
-      and st = s_store ~plain in
-      fun e -> sf e d (st (round32 (fn (fetch (gf e a)))))
-  | Funop (E (eb, mb), o, d, a) ->
-      let fmt = Formats.make ~ebits:eb ~mbits:mb in
-      let fetch = e_fetch ~plain ~checked fmt addr
-      and rnd = Formats.round fmt
-      and fn = funop_fn o
-      and st = s_store ~plain in
-      fun e -> sf e d (st (rnd (fn (fetch (gf e a)))))
-  | Flibm (D, o, d, a) ->
-      let fn = flibm_fn o in
-      if checked then fun e -> sf e d (fn (dchk addr (gf e a)))
-      else fun e -> sf e d (fn (gf e a))
-  | Flibm (S, o, d, a) ->
-      let fetch = s_fetch ~plain ~checked addr
-      and fn = flibm_fn o
-      and st = s_store ~plain in
-      fun e -> sf e d (st (round32 (fn (fetch (gf e a)))))
-  | Flibm (E (eb, mb), o, d, a) ->
-      let fmt = Formats.make ~ebits:eb ~mbits:mb in
-      let fetch = e_fetch ~plain ~checked fmt addr
-      and rnd = Formats.round fmt
-      and fn = flibm_fn o
-      and st = s_store ~plain in
-      fun e -> sf e d (st (rnd (fn (fetch (gf e a)))))
-  | Fcmp (D, c, d, a, b) ->
-      let cf = cmp_fn c in
-      if checked then
-        fun e ->
-          si e d ((if cf (dchk addr (gf e a)) (dchk addr (gf e b)) then 1 else 0))
-      else fun e -> si e d ((if cf (gf e a) (gf e b) then 1 else 0))
-  | Fcmp (S, c, d, a, b) ->
-      let fetch = s_fetch ~plain ~checked addr and cf = cmp_fn c in
+  (* the D arithmetic arms are written out in full (register indices and
+     checked test burned into one straight-line closure); the other D arms
+     inline [dget], and S, E, min/max and packed arms are kernel calls *)
+  | Fbin (D, Add, d, a, b) when checked -> fun e -> sf e d (dget true addr e a +. dget true addr e b)
+  | Fbin (D, Sub, d, a, b) when checked -> fun e -> sf e d (dget true addr e a -. dget true addr e b)
+  | Fbin (D, Mul, d, a, b) when checked -> fun e -> sf e d (dget true addr e a *. dget true addr e b)
+  | Fbin (D, Div, d, a, b) when checked -> fun e -> sf e d (dget true addr e a /. dget true addr e b)
+  | Fbin (D, Add, d, a, b) -> fun e -> sf e d (gf e a +. gf e b)
+  | Fbin (D, Sub, d, a, b) -> fun e -> sf e d (gf e a -. gf e b)
+  | Fbin (D, Mul, d, a, b) -> fun e -> sf e d (gf e a *. gf e b)
+  | Fbin (D, Div, d, a, b) -> fun e -> sf e d (gf e a /. gf e b)
+  | Fbin (p, o, d, a, b) ->
+      let c = kcode ~checked ~plain p (fbin_op o) and r = kreason ~plain p in
+      fun e -> if k_fbin e.fr d a b c <> 0 then trap addr r
+  | Fbinp (p, o, d, a, b) ->
+      (* both lanes read before either write — element-wise packed
+         semantics, matching the interpreter's fixed Fbinp *)
+      let c = kcode ~checked ~plain p (fbin_op o) lor packed and r = kreason ~plain p in
+      fun e -> if k_fbin e.fr d a b c <> 0 then trap addr r
+  | Funop (D, o, d, a) -> (
+      match o with
+      | Sqrt -> fun e -> sf e d (sqrt (dget checked addr e a))
+      | Neg -> fun e -> sf e d (-.dget checked addr e a)
+      | Abs -> fun e -> sf e d (Float.abs (dget checked addr e a)))
+  | Flibm (D, o, d, a) -> (
+      match o with
+      | Sin -> fun e -> sf e d (sin (dget checked addr e a))
+      | Cos -> fun e -> sf e d (cos (dget checked addr e a))
+      | Tan -> fun e -> sf e d (tan (dget checked addr e a))
+      | Exp -> fun e -> sf e d (exp (dget checked addr e a))
+      | Log -> fun e -> sf e d (log (dget checked addr e a))
+      | Atan -> fun e -> sf e d (atan (dget checked addr e a)))
+  | Funop (p, o, d, a) ->
+      let c = kcode ~checked ~plain p (funop_op o) and r = kreason ~plain p in
+      fun e -> if k_fun e.fr d a c <> 0 then trap addr r
+  | Flibm (p, o, d, a) ->
+      let c = kcode ~checked ~plain p (flibm_op o) and r = kreason ~plain p in
+      fun e -> if k_fun e.fr d a c <> 0 then trap addr r
+  | Fcmp (D, c, d, a, b) -> (
+      match c with
+      | Eq -> fun e -> si e d (fl (dget checked addr e a = dget checked addr e b))
+      | Ne -> fun e -> si e d (fl (dget checked addr e a <> dget checked addr e b))
+      | Lt -> fun e -> si e d (fl (dget checked addr e a < dget checked addr e b))
+      | Le -> fun e -> si e d (fl (dget checked addr e a <= dget checked addr e b))
+      | Gt -> fun e -> si e d (fl (dget checked addr e a > dget checked addr e b))
+      | Ge -> fun e -> si e d (fl (dget checked addr e a >= dget checked addr e b)))
+  | Fcmp (p, c, d, a, b) ->
+      let c = kcode ~checked ~plain p (cmp_op c) and r = kreason ~plain p in
       fun e ->
-        si e d ((if cf (fetch (gf e a)) (fetch (gf e b)) then 1 else 0))
-  | Fcmp (E (eb, mb), c, d, a, b) ->
-      let fmt = Formats.make ~ebits:eb ~mbits:mb in
-      let fetch = e_fetch ~plain ~checked fmt addr and cf = cmp_fn c in
-      fun e ->
-        si e d ((if cf (fetch (gf e a)) (fetch (gf e b)) then 1 else 0))
-  | Fconst (D, d, x) -> fun e -> sf e d (x)
-  | Fconst (S, d, x) ->
+        let v = k_fcmp e.fr a b c in
+        if v < 0 then trap addr r else si e d v
+  | Fconst (D, d, x) -> fun e -> sf e d x
+  | Fconst (p, d, x) ->
       (* the rounded (and, in Flagged mode, encoded) constant is itself a
          compile-time constant *)
-      let v = if plain then round32 x else enc (round32 x) in
-      fun e -> sf e d (v)
-  | Fconst (E (eb, mb), d, x) ->
-      let fmt = Formats.make ~ebits:eb ~mbits:mb in
-      let r = Formats.round fmt x in
-      let v = if plain then r else enc r in
-      fun e -> sf e d (v)
-  | Fmov (d, a) -> fun e -> sf e d ((gf e a))
+      let r =
+        match p with
+        | E (eb, mb) -> Formats.round (Formats.make ~ebits:eb ~mbits:mb) x
+        | _ -> F32.round x
+      in
+      let v = if plain then r else Replaced.encode r in
+      fun e -> sf e d v
+  | Fmov (d, a) -> fun e -> sf e d (gf e a)
   | Fload (d, m) -> compile_fload ~nf addr d m
   | Fstore (m, a) -> compile_fstore ~nf addr m a
   | Fcvt_i2f (D, d, a) -> fun e -> sf e d (float_of_int (gi e a))
-  | Fcvt_i2f (S, d, a) ->
-      let st = s_store ~plain in
-      fun e -> sf e d (st (round32 (float_of_int (gi e a))))
-  | Fcvt_i2f (E (eb, mb), d, a) ->
-      let fmt = Formats.make ~ebits:eb ~mbits:mb in
-      let rnd = Formats.round fmt and st = s_store ~plain in
-      fun e -> sf e d (st (rnd (float_of_int (gi e a))))
-  | Fcvt_f2i (D, d, a) ->
-      if checked then fun e -> si e d (int_of_float (dchk addr (gf e a)))
-      else fun e -> si e d (int_of_float (gf e a))
-  | Fcvt_f2i (S, d, a) ->
-      let fetch = s_fetch ~plain ~checked addr in
-      fun e -> si e d (int_of_float (fetch (gf e a)))
-  | Fcvt_f2i (E (eb, mb), d, a) ->
-      let fmt = Formats.make ~ebits:eb ~mbits:mb in
-      let fetch = e_fetch ~plain ~checked fmt addr in
-      fun e -> si e d (int_of_float (fetch (gf e a)))
+  | Fcvt_i2f (p, d, a) ->
+      let c = kcode ~checked ~plain p 0 in
+      fun e -> k_i2f e.fr d (gi e a) c
+  | Fcvt_f2i (D, d, a) -> fun e -> si e d (int_of_float (dget checked addr e a))
+  | Fcvt_f2i (p, d, a) ->
+      (* the operand test is inline here ([is_rep v = plain]: flagged wants
+         a replaced operand, plain an unreplaced one) because the
+         out-of-range float->int conversion must stay OCaml's *)
+      let c = kcode ~checked:false ~plain p 0 and r = kreason ~plain p in
+      fun e ->
+        let v = gf e a in
+        if checked && is_rep v = plain then trap addr r
+        else si e d (int_of_float (k_widen v c))
   | Ibin (o, d, a, b) -> compile_ibin addr o d a b
   | Icmp (c, d, a, b) -> compile_icmp addr c d a b
-  | Iconst (d, x) -> fun e -> si e d (x)
-  | Imov (d, a) -> fun e -> si e d ((gi e a))
+  | Iconst (d, x) -> fun e -> si e d x
+  | Imov (d, a) -> fun e -> si e d (gi e a)
   | Iload (d, m) -> compile_iload ~ni addr d m
   | Istore (m, a) -> compile_istore ~ni addr m a
   | Call { callee; fargs; iargs; frets; irets } ->
-      fun e ->
-        let lf = e.lfuncs.(callee) in
-        let fa = Array.map (fun r -> e.fr.(r)) fargs in
-        let ia = Array.map (fun r -> e.ir.(r)) iargs in
-        let rf, ri = e.exec lf fa ia in
-        e.t.Vm.cur_fregs <- e.fr;
-        e.t.Vm.cur_iregs <- e.ir;
-        Array.iteri (fun k r -> e.fr.(r) <- rf.(k)) frets;
-        Array.iteri (fun k r -> e.ir.(r) <- ri.(k)) irets
-  | Ftestflag (d, a) ->
-      fun e -> si e d ((if is_rep (gf e a) then 1 else 0))
-  | Fdowncast (d, a) -> fun e -> sf e d (enc (gf e a))
+      fun e -> call e callee fargs iargs frets irets
+  | Ftestflag (d, a) -> fun e -> si e d (fl (is_rep (gf e a)))
+  | Fdowncast (d, a) -> fun e -> ignore (k_fun e.fr d a k_downcast : int)
   | Fupcast (d, a) ->
-      fun e ->
-        let v = (gf e a) in
-        if not (is_rep v) then trap addr "upcast of an unreplaced value"
-        else sf e d (x32 v)
+      fun e -> if k_fun e.fr d a k_upcast <> 0 then trap addr "upcast of an unreplaced value"
   | Fexpo (d, a) ->
       fun e ->
         si e d
@@ -628,128 +638,12 @@ let run ?cache (t : Vm.t) =
         "Vm.run: this state has already executed (counters and heaps reflect \
          the previous run); create a fresh VM per run";
     t.Vm.ran <- true;
-    (* fetched once per run, exactly like the interpreter *)
-    let watchdog = Vm.installed_watchdog () in
     let plain = t.Vm.smode = Vm.Plain in
     let lfuncs = link ?cache ~checked:t.Vm.checked ~plain t.Vm.prog in
-    let fheap = t.Vm.fheap
-    and iheap = t.Vm.iheap
-    and counts = t.Vm.counts
-    and bcounts = t.Vm.bcounts in
-    let rec exec lf fargs iargs =
-      let f = lf.src in
-      let fr = Array.make f.Ir.n_fregs 0.0 in
-      let ir = Array.make f.Ir.n_iregs 0 in
-      Array.blit fargs 0 fr 0 (Array.length fargs);
-      Array.blit iargs 0 ir 0 (Array.length iargs);
-      t.Vm.cur_fregs <- fr;
-      t.Vm.cur_iregs <- ir;
-      let e =
-        { t; fr; ir; fheap; iheap; lfuncs; exec; cur_bidx = f.Ir.entry; cur_k = -1 }
-      in
-      let cblocks = lf.cblocks in
-      let max_steps = t.Vm.max_steps in
-      (* The block driver is duplicated on watchdog presence so the common
-         no-watchdog case pays no per-block match.  [bcounts] and the [Br]
-         register access are unsafe: any program containing a cached block
-         has a [bcounts] array longer than that block's label, and the [Br]
-         register was range-checked by [check_registers].  [cur_bidx]/[cur_k]
-         record how far the current block got — the instruction the frame is
-         executing is already counted (the interpreter bumps before it runs),
-         everything after it is not. *)
-      let rec go bidx =
-        let cb = Array.unsafe_get cblocks bidx in
-        e.cur_bidx <- bidx;
-        e.cur_k <- -1;
-        let l = cb.clabel in
-        Array.unsafe_set bcounts l (Array.unsafe_get bcounts l + 1);
-        t.Vm.steps <- t.Vm.steps + cb.nsteps;
-        if t.Vm.steps > max_steps then raise (Vm.Limit max_steps);
-        let body = cb.body in
-        for k = 0 to Array.length body - 1 do
-          e.cur_k <- k;
-          (Array.unsafe_get body k) e
-        done;
-        match cb.cterm with
-        | CJmp tgt -> go tgt
-        | CBr (r, th, el) -> if Array.unsafe_get ir r <> 0 then go th else go el
-        | CTestBr { addr = _; tf; src; th; el } ->
-            let rep = is_rep (Array.unsafe_get fr src) in
-            Array.unsafe_set ir tf (if rep then 1 else 0);
-            if rep then go th else go el
-        | CIcmpBr { c; addr = _; d; a; b; th; el } ->
-            let x = Array.unsafe_get ir a and y = Array.unsafe_get ir b in
-            let v =
-              match c with
-              | Eq -> x = y
-              | Ne -> x <> y
-              | Lt -> x < y
-              | Le -> x <= y
-              | Gt -> x > y
-              | Ge -> x >= y
-            in
-            Array.unsafe_set ir d (if v then 1 else 0);
-            if v then go th else go el
-        | CRet -> ()
-      in
-      (* the watchdog heartbeats per block here (per instruction in the
-         interpreter): cancellation latency stays a few hundred blocks,
-         and the block label stands in for the instruction address *)
-      let rec go_w w bidx =
-        let cb = Array.unsafe_get cblocks bidx in
-        e.cur_bidx <- bidx;
-        e.cur_k <- -1;
-        let l = cb.clabel in
-        Array.unsafe_set bcounts l (Array.unsafe_get bcounts l + 1);
-        t.Vm.steps <- t.Vm.steps + cb.nsteps;
-        if t.Vm.steps > max_steps then raise (Vm.Limit max_steps);
-        w t cb.clabel;
-        let body = cb.body in
-        for k = 0 to Array.length body - 1 do
-          e.cur_k <- k;
-          (Array.unsafe_get body k) e
-        done;
-        match cb.cterm with
-        | CJmp tgt -> go_w w tgt
-        | CBr (r, th, el) -> if Array.unsafe_get ir r <> 0 then go_w w th else go_w w el
-        | CTestBr { addr = _; tf; src; th; el } ->
-            let rep = is_rep (Array.unsafe_get fr src) in
-            Array.unsafe_set ir tf (if rep then 1 else 0);
-            if rep then go_w w th else go_w w el
-        | CIcmpBr { c; addr = _; d; a; b; th; el } ->
-            let x = Array.unsafe_get ir a and y = Array.unsafe_get ir b in
-            let v =
-              match c with
-              | Eq -> x = y
-              | Ne -> x <> y
-              | Lt -> x < y
-              | Le -> x <= y
-              | Gt -> x > y
-              | Ge -> x >= y
-            in
-            Array.unsafe_set ir d (if v then 1 else 0);
-            if v then go_w w th else go_w w el
-        | CRet -> ()
-      in
-      (try match watchdog with None -> go f.Ir.entry | Some w -> go_w w f.Ir.entry
-       with ex ->
-         (* the run is aborting: retract the counts of this frame's current
-            block for the instructions it did not reach, so the final
-            bcounts-based reconstruction yields exactly the interpreter's
-            per-instruction counts *)
-         let cb = Array.unsafe_get cblocks e.cur_bidx in
-         let ia = cb.iaddrs in
-         for i = e.cur_k + 1 to Array.length ia - 1 do
-           let a = Array.unsafe_get ia i in
-           counts.(a) <- counts.(a) - 1
-         done;
-         raise ex);
-      ( Array.map (fun r -> fr.(r)) f.Ir.ret_fregs,
-        Array.map (fun r -> ir.(r)) f.Ir.ret_iregs )
-    in
+    let counts = t.Vm.counts and bcounts = t.Vm.bcounts in
     (* one O(program) pass turns block entry counts into exact
-       per-instruction counts (plus the per-frame retractions above on the
-       abort path); runs on both the normal and the exceptional exit *)
+       per-instruction counts (plus the per-frame retractions in [exec] on
+       the abort path); runs on both the normal and the exceptional exit *)
     let reconstruct () =
       Array.iter
         (fun lf ->
@@ -765,11 +659,35 @@ let run ?cache (t : Vm.t) =
             lf.cblocks)
         lfuncs
     in
+    let rs =
+      {
+        lfuncs;
+        spare = Array.make (Array.length lfuncs) None;
+        (* fetched once per run, exactly like the interpreter *)
+        watchdog = Vm.installed_watchdog ();
+      }
+    in
     let main = lfuncs.(t.Vm.prog.main) in
     let mf = main.src in
-    (match exec main (Array.make mf.Ir.n_fargs 0.0) (Array.make mf.Ir.n_iargs 0) with
-    | (_ : float array * int array) -> reconstruct ()
+    (* main's arguments are zeros, so its fresh frame is already set up *)
+    let e =
+      {
+        t;
+        fr = Array.make mf.Ir.n_fregs 0.0;
+        ir = Array.make mf.Ir.n_iregs 0;
+        fheap = t.Vm.fheap;
+        iheap = t.Vm.iheap;
+        lf = main;
+        rs;
+        busy = true;
+        cur_bidx = mf.Ir.entry;
+        cur_k = -1;
+      }
+    in
+    rs.spare.(t.Vm.prog.main) <- Some e;
+    match exec e with
+    | () -> reconstruct ()
     | exception ex ->
         reconstruct ();
-        raise ex)
+        raise ex
   end

@@ -4,12 +4,20 @@
     precision, [smode], [checked]-mode operand tests, addressing mode,
     hook presence — on every dynamic execution. This module translates
     each {!Ir.block} once into a flat array of pre-specialized closures
-    (one per instruction, with registers, bounds, trap reasons, rounding
-    and encode/extract steps resolved at compile time) chained by compiled
-    terminators, collapsing the per-step cost to an indirect call. This is
-    the software analogue of the paper's snippet splicing: precision
-    decisions are baked into the code once per configuration, not
-    re-interpreted per step.
+    (one per instruction, with registers, bounds, trap reasons and the
+    precision mode resolved at compile time) chained by compiled
+    terminators. This is the software analogue of the paper's snippet
+    splicing: precision decisions are baked into the code once per
+    configuration, not re-interpreted per step.
+
+    Each single- or reduced-precision operation is one [[@@noalloc]] C
+    kernel call (opkernels.c): operand fetch, sentinel test, one double op,
+    rounding and re-encoding. OCaml 5.1/5.2 without flambda has no inlined
+    float/bits cast, so the same steps written in OCaml cost 5–10 external
+    calls. Double operands are checked without a call unless they are NaN
+    (every sentinel pattern is one), calls reuse one spare frame per
+    function, and no closure arm boxes a float: the steady state allocates
+    nothing.
 
     {!run} is a drop-in replacement for {!Vm.run}: identical heaps,
     [counts]/[bcounts], step accounting, {!Vm.Trap} addresses and reasons,
@@ -17,7 +25,8 @@
     difference: a state with installed hooks (fault injector, shadow
     tracer, test probes) is executed by the interpreter — compiled code has
     no per-instruction observation point, and correctness of those
-    subsystems outranks speed.
+    subsystems outranks speed. ([Vm.cur_fregs]/[cur_iregs], which only
+    hooks read, are therefore not maintained by compiled runs.)
 
     Compilation is per-(block × precision slice). With a {!cache}, blocks
     whose instruction content (precisions included) is unchanged between

@@ -298,6 +298,144 @@ let test_cache_reuse () =
   checkb "hit rate above one half across the mini-campaign" true
     (Code_cache.hit_rate s3 > 0.5)
 
+(* ------------------------------------------------------- call frames *)
+
+(* Compiled calls reuse one spare frame per function; these pin that a
+   reused frame reads as a fresh one, that recursion gets fresh frames,
+   and that a trap in a reused frame leaves exact counters. *)
+
+let mk_func ~fid ~n_iargs ~n_fregs ~n_iregs blocks =
+  {
+    Ir.fid;
+    fname = Printf.sprintf "f%d" fid;
+    module_name = "m";
+    n_fargs = 0;
+    n_iargs;
+    ret_fregs = [||];
+    ret_iregs = [||];
+    n_fregs;
+    n_iregs;
+    entry = 0;
+    blocks;
+  }
+
+let mk_calls ~f blocks_main =
+  let main = mk_func ~fid:0 ~n_iargs:0 ~n_fregs:2 ~n_iregs:4 blocks_main in
+  { Ir.funcs = [| main; f |]; main = 0; fheap_size = 8; iheap_size = 8; modules = [| "m" |] }
+
+let block label ops term =
+  {
+    Ir.label;
+    instrs = Array.of_list (List.map (fun (addr, op) -> { Ir.addr; op }) ops);
+    term;
+  }
+
+let call1 i = Ir.Call { callee = 1; fargs = [||]; iargs = [| i |]; frets = [||]; irets = [||] }
+
+(* f(i): heap[i] <- f1, iheap[i] <- i1, read before any write; then dirty
+   both registers *)
+let test_reused_frame_reads_zero () =
+  let f =
+    mk_func ~fid:1 ~n_iargs:1 ~n_fregs:2 ~n_iregs:2
+      [|
+        block 10
+          [
+            (10, Ir.Fstore ({ Ir.base = Some 0; index = None; scale = 0; offset = 0 }, 1));
+            (11, Ir.Istore ({ Ir.base = Some 0; index = None; scale = 0; offset = 0 }, 1));
+            (12, Ir.Fconst (Ir.D, 1, 5.0));
+            (13, Ir.Iconst (1, 7));
+          ]
+          Ir.Ret;
+      |]
+  in
+  let prog =
+    mk_calls ~f
+      [| block 0 [ (0, Ir.Iconst (0, 0)); (1, call1 0); (2, Ir.Iconst (0, 1)); (3, call1 0) ] Ir.Ret |]
+  in
+  differential ~checked:false ~setup:no_setup "callee called twice" prog;
+  let _, vm = run_with (fun vm -> Compile.run vm) ~checked:false ~setup:no_setup prog in
+  List.iter
+    (fun k ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "call %d reads f1 = 0.0" k) 0.0 (Vm.get_f vm k);
+      checki (Printf.sprintf "call %d reads i1 = 0" k) 0 (Vm.get_i vm k))
+    [ 0; 1 ]
+
+(* f(n): f1 <- n; if n > 0 then f(n - 1); heap[n] <- f1.  Sharing a frame
+   across the recursion would leave every heap[n] = 0. *)
+let test_recursion_fresh_frames () =
+  let at_n = { Ir.base = Some 0; index = None; scale = 0; offset = 0 } in
+  let f =
+    mk_func ~fid:1 ~n_iargs:1 ~n_fregs:2 ~n_iregs:4
+      [|
+        block 20
+          [ (20, Ir.Fcvt_i2f (Ir.D, 1, 0)); (21, Ir.Iconst (2, 0)); (22, Ir.Icmp (Ir.Gt, 3, 0, 2)) ]
+          (Ir.Br (3, 1, 2));
+        block 21 [ (23, Ir.Iconst (2, 1)); (24, Ir.Ibin (Ir.Isub, 1, 0, 2)); (25, call1 1) ] (Ir.Jmp 2);
+        block 22 [ (26, Ir.Fstore (at_n, 1)) ] Ir.Ret;
+      |]
+  in
+  let prog = mk_calls ~f [| block 0 [ (0, Ir.Iconst (0, 5)); (1, call1 0) ] Ir.Ret |] in
+  differential ~checked:false ~setup:no_setup "recursion" prog;
+  let _, vm = run_with (fun vm -> Compile.run vm) ~checked:false ~setup:no_setup prog in
+  for n = 0 to 5 do
+    Alcotest.(check (float 0.0)) (Printf.sprintf "frame %d kept its own f1" n) (float_of_int n)
+      (Vm.get_f vm n)
+  done
+
+(* f(i): 12 / i, called with 1 then 0: the second call traps in the
+   reused frame *)
+let test_trap_in_reused_frame () =
+  let f =
+    mk_func ~fid:1 ~n_iargs:1 ~n_fregs:1 ~n_iregs:3
+      [|
+        block 10
+          [ (10, Ir.Iconst (1, 12)); (11, Ir.Ibin (Ir.Idiv, 2, 1, 0)); (12, Ir.Iconst (1, 3)) ]
+          Ir.Ret;
+      |]
+  in
+  let prog =
+    mk_calls ~f
+      [|
+        block 0
+          [ (0, Ir.Iconst (0, 1)); (1, call1 0); (2, Ir.Iconst (0, 0)); (3, call1 0); (4, Ir.Iconst (1, 9)) ]
+          Ir.Ret;
+      |]
+  in
+  differential ~checked:false ~setup:no_setup "trap on the second call" prog;
+  match run_with (fun vm -> Compile.run vm) ~checked:false ~setup:no_setup prog with
+  | Trapped (11, _), vm ->
+      checki "trapping division counted twice" 2 vm.Vm.counts.(11);
+      checki "instruction after the trap counted once" 1 vm.Vm.counts.(12);
+      checki "caller's tail not counted" 0 vm.Vm.counts.(4)
+  | o, _ -> Alcotest.failf "expected the division to trap, got %s" (outcome_str o)
+
+(* ------------------------------------------------------- allocation guard *)
+
+(* The steady-state compiled path allocates nothing per step: op kernels
+   are [@@noalloc], no closure arm boxes a float, and calls reuse frames.
+   What remains is per run (linking, the main frame, spare frames). *)
+let test_allocation_free () =
+  let guard label prog setup =
+    let cache = Compile.create_cache () in
+    let fresh () =
+      let vm = Vm.create ~checked:true prog in
+      setup vm;
+      vm
+    in
+    let run vm = match Compile.run ~cache vm with () -> () | exception Vm.Trap _ -> () in
+    run (fresh ());
+    let vm = fresh () in
+    let w0 = Gc.minor_words () in
+    run vm;
+    let per_step = (Gc.minor_words () -. w0) /. float_of_int vm.Vm.steps in
+    if not (per_step < 0.01) then
+      Alcotest.failf "%s: %.4f minor words/step over %d steps (want < 0.01)" label per_step
+        vm.Vm.steps
+  in
+  let ep = Nas_ep.make Kernel.W and cg = Nas_cg.make Kernel.W in
+  guard "ep.W hints" (Patcher.patch ~dataflow:true ep.program ep.hints) ep.setup;
+  guard "cg.W all-single" (Patcher.patch ~dataflow:true cg.program (all_single_cfg cg.program)) cg.setup
+
 (* -------------------------------------------------------- hook fallbacks *)
 
 let test_hook_forces_interpreter () =
@@ -426,4 +564,8 @@ let suite =
     ("fault injector forces the interpreter", `Quick, test_faults_force_interpreter);
     ("BFS campaign identical across backends", `Quick, test_campaign_equivalence);
     ("compiled pool run honours the deadline", `Quick, test_compiled_pool_deadline);
+    ("frames: a reused frame reads as fresh", `Quick, test_reused_frame_reads_zero);
+    ("frames: recursion runs on fresh frames", `Quick, test_recursion_fresh_frames);
+    ("frames: trap in a reused frame keeps exact counters", `Quick, test_trap_in_reused_frame);
+    ("steady state allocates < 0.01 words/step", `Quick, test_allocation_free);
   ]

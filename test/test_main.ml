@@ -25,6 +25,7 @@ let () =
       ("analysis", Test_analysis.suite);
       ("shadow", Test_shadow.suite);
       ("compile", Test_compile.suite);
+      ("opkernels", Test_opkernels.suite);
       ("wire", Test_wire.suite);
       ("server", Test_server.suite);
       ("fleet", Test_fleet.suite);
